@@ -14,10 +14,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .features import FeatureBank
+from .hsmm import LOG_2PI, gaussian_log_table
 
 __all__ = ["RegressionStats", "ClassModel"]
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -163,11 +162,6 @@ class ClassModel:
         taus = np.arange(1, kmax + 1, dtype=np.float64)
         phi = bank.phi(taus)  # (kmax, M)
         means = phi @ self._post_mean.T  # (kmax, D)
-        quad = np.einsum("ti,dij,tj->td", phi, self._post_cov, phi)
+        quad = np.einsum("dtj,tj->td", phi @ self._post_cov, phi)
         variances = 1.0 / self.beta + quad  # (kmax, D)
-        table = np.zeros((kmax, seq.shape[1]))
-        for d in range(self.n_dims):
-            resid = seq[d][np.newaxis, :] - means[:, d][:, np.newaxis]
-            var = variances[:, d][:, np.newaxis]
-            table += -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
-        return table
+        return gaussian_log_table(means, variances, seq)

@@ -8,15 +8,18 @@ timestamps and are bit-reproducible for a fixed (data, config, seed).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .data import (
@@ -46,6 +49,14 @@ from .trainer import (
 SNAPSHOT_VERSION = 1
 
 THREADS_ENV = "RFFSEG_THREADS"
+
+# The OpenBLAS copies bundled in numpy's and scipy's wheels: the package
+# whose site directory holds the library, a glob for the library there,
+# and the suffix of its exported thread-count functions.
+OPENBLAS_LIBRARIES = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas*.so", ""),
+)
 
 
 @dataclass
@@ -125,20 +136,51 @@ def capture_environment(threads: int | None) -> dict:
     }
 
 
+def _openblas_thread_functions() -> list:
+    """``(set, get)`` thread-count functions of each bundled OpenBLAS found."""
+    found = []
+    for package, pattern, suffix in OPENBLAS_LIBRARIES:
+        site = Path(package.__file__).resolve().parent.parent
+        libs = sorted(site.glob(pattern))
+        if not libs:
+            continue
+        lib = ctypes.CDLL(str(libs[0]))
+        try:
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        found.append((setter, getter))
+    return found
+
+
 def limit_threads(threads: int | None) -> int | None:
-    """Bound BLAS pool size for clean timings; returns the applied limit."""
+    """Cap the BLAS thread pools; returns the count in force afterwards.
+
+    numpy and scipy have loaded their OpenBLAS before any verb runs, so
+    the cap is applied through each library's own setter rather than
+    the environment.  The count returned is read back from the
+    libraries (the largest, should they differ), also when no cap is
+    asked for; it is None when no bundled OpenBLAS is found.
+    """
     if threads is None:
         env = os.environ.get(THREADS_ENV)
         threads = int(env) if env else None
-    if threads is None:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=threads)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    return threads
+    if threads is not None and threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+    functions = _openblas_thread_functions()
+    if threads is not None:
+        if not functions:
+            warnings.warn("no bundled OpenBLAS found; the thread cap has no effect",
+                          stacklevel=2)
+        for setter, _ in functions:
+            setter(threads)
+    counts = [getter() for _, getter in functions]
+    return max(counts) if counts else None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -242,6 +284,11 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     limit_threads(cfg.threads)
     with open(model_path, "r", encoding="utf-8") as fh:
         snap = json.load(fh)
+    version = snap.get("format_version")
+    if version != SNAPSHOT_VERSION:
+        raise DataFormatError(
+            f"{model_path}: snapshot format_version {version!r} is not "
+            f"supported (this build reads version {SNAPSHOT_VERSION})")
     model_cfg = RunConfig(**snap["config"])
     record = (PreprocessRecord.from_dict(snap["preprocess"])
               if snap.get("preprocess") else None)

@@ -102,6 +102,7 @@ class SequenceStore:
 
 def _parse_file(path, schema: LoadSchema):
     rows = []
+    linenos = []
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -122,15 +123,21 @@ def _parse_file(path, schema: LoadSchema):
                     f"{path}:{lineno}: expected {len(rows[0])} values, "
                     f"got {len(values)}")
             rows.append(values)
+            linenos.append(lineno)
             if schema.label_column is not None:
                 try:
                     labels.append(int(float(cells[schema.label_column])))
-                except (ValueError, IndexError) as exc:
+                except (ValueError, IndexError, OverflowError) as exc:
                     raise DataFormatError(
                         f"{path}:{lineno}: bad label column: {exc}") from exc
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     seq = np.asarray(rows, dtype=np.float64).T  # (n_dims, T)
+    finite = np.isfinite(seq).all(axis=0)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise DataFormatError(
+            f"{path}:{linenos[row]}: non-finite value in {rows[row]}")
     lab = np.asarray(labels, dtype=np.int64) if schema.label_column is not None else None
     return seq, lab
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-__all__ = ["rbf_kernel", "GpClassData"]
+from .hsmm import LOG_2PI, gaussian_log_table
 
-LOG_2PI = np.log(2.0 * np.pi)
+__all__ = ["rbf_kernel", "GpClassData"]
 
 
 def rbf_kernel(a, b, lengthscale: float = 1.0):
@@ -132,9 +132,4 @@ class GpClassData:
             kq = self.kernel(self.taus, taus_q)  # (N, kmax)
             means = kq.T @ self._kinv_x  # (kmax, D)
             variances = prior + 1.0 / self.beta - np.sum(kq * (self._kinv @ kq), axis=0)
-        table = np.zeros((kmax, seq.shape[1]))
-        for d in range(self.n_dims):
-            resid = seq[d][np.newaxis, :] - means[:, d][:, np.newaxis]
-            table += -0.5 * (LOG_2PI + np.log(variances)[:, np.newaxis]
-                             + resid * resid / variances[:, np.newaxis])
-        return table
+        return gaussian_log_table(means, variances, seq)

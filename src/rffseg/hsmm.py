@@ -9,15 +9,21 @@ Conventions used throughout (0-based frame indices):
   raw (untruncated, unrenormalized) Poisson pmf;
 * the first segment of a sequence draws its class uniformly; there is
   no separate initial-state distribution;
-* all lattice math is in the log domain with per-frame shift
+* the lattice is stored in the log domain with per-frame shift
   normalization, and the cumulative normalizers are stored so the total
-  data log-likelihood is the final entry.
+  data log-likelihood is the final entry;
+* the forward recursion (Yu, "Hidden semi-Markov models", Artificial
+  Intelligence 2010) advances ``kmin`` frames per numpy step, since no
+  segment ending inside such a block can start after its first frame;
+  the mass carried across a segment boundary goes through the
+  transition matrix in the linear domain, on normalized slices.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +35,15 @@ __all__ = [
     "ForwardLattice",
     "forward_filter",
     "backward_sample",
+    "gaussian_log_table",
 ]
+
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 class InfeasibleSequenceError(RuntimeError):
     """No segmentation with lengths in [kmin, kmax] tiles the sequence."""
-
-
-def logsumexp(a: np.ndarray, axis=None):
-    """Shift-stable log-sum-exp that maps all-(-inf) slices to -inf."""
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis))
-    if axis is None:
-        return float(out + shift.ravel()[0])
-    return out + np.squeeze(shift, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -181,6 +179,34 @@ def tileable(length: int, kmin: int, kmax: int) -> bool:
     return n * kmin <= length
 
 
+def gaussian_log_table(means: np.ndarray, variances: np.ndarray,
+                       seq: np.ndarray) -> np.ndarray:
+    """Diagonal-Gaussian frame log densities at every within-segment position.
+
+    ``means`` is ``(kmax, D)``; ``variances`` is ``(kmax, D)``, or
+    ``(kmax,)`` when shared by all dimensions; ``seq`` is ``(D, T)``.
+    Entry ``[j, t]`` of the ``(kmax, T)`` result is the log density of
+    frame ``t`` under position ``j``'s Gaussian, summed over dimensions.
+
+    The residual is expanded as ``x^2/v - 2 m x/v + m^2/v`` so the
+    whole table is one ``(kmax, 2D) @ (2D, T)`` product.  Frames and
+    means are first centred on the sequence's per-dimension mean, so an
+    offset shared by both does not cancel catastrophically.
+    """
+    seq = np.asarray(seq, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    variances = np.broadcast_to(
+        np.asarray(variances, dtype=np.float64).reshape(len(means), -1), means.shape)
+    prec = 1.0 / variances
+    centre = seq.mean(axis=1)
+    x = seq - centre[:, np.newaxis]
+    m = means - centre
+    coef = np.hstack([prec, -2.0 * m * prec])  # (kmax, 2D)
+    powers = np.vstack([x * x, x])  # (2D, T)
+    const = np.sum(LOG_2PI + np.log(variances) + m * m * prec, axis=1)
+    return -0.5 * (coef @ powers + const[:, np.newaxis])
+
+
 def build_log_emission_tables(seq: np.ndarray, emitters, kmax: int) -> np.ndarray:
     """Stack per-class frame-density tables into a (C, kmax, T) array."""
     return np.stack([em.log_emission_table(seq, kmax) for em in emitters])
@@ -206,10 +232,20 @@ def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
     """Run the forward pass of the segment lattice for one sequence.
 
     ``emitters`` is one evaluator per class exposing
-    ``log_emission_table(seq, kmax) -> (kmax, T)``.  Each (class,
-    position, frame) density is evaluated exactly once; the per-cell
-    work is table lookups plus one log-sum-exp over predecessor
-    classes, amortized through a per-frame transition aggregate.
+    ``log_emission_table(seq, kmax) -> (kmax, T)``; each (class,
+    position, frame) density is evaluated exactly once.
+
+    The recursion advances ``kmin`` frames per step.  A segment ending
+    in a block of frames ``t0 .. t0+kmin-1`` is at least ``kmin`` long,
+    so it starts at or before ``t0`` and its predecessor boundary lies
+    before the block: one numpy step scores every (frame, length,
+    class) cell of the block from boundary mass already known.  Each
+    frame's slice is shift-normalized in the log domain; the mass
+    entering each class after a boundary at that frame is the
+    normalized slice, summed over lengths, times the transition matrix
+    in the linear domain.  That product is safe from underflow: every
+    normalized slice sums to one and every transition probability is at
+    least ``alpha / (n + C alpha)``.
     """
     seq = np.asarray(seq, dtype=np.float64)
     n_frames = seq.shape[1]
@@ -223,41 +259,48 @@ def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
     kmax = min(params.kmax, n_frames)
     n_k = kmax - kmin + 1
 
-    if timer is not None:
-        with timer.phase("emission"):
-            emis = build_log_emission_tables(seq, emitters, kmax)
-    else:
+    with timer.phase("emission") if timer is not None else nullcontext():
         emis = build_log_emission_tables(seq, emitters, kmax)
 
-    with timer.phase("dp") if timer is not None else _null_context():
-        seg = _segment_score_table(emis)
+    with timer.phase("dp") if timer is not None else nullcontext():
         log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
-        log_trans = params.log_transition_matrix()
-        log_init = -math.log(n_classes)
+        # score[s, k - kmin, c]: duration plus emissions of the length-k
+        # segment of class c starting at frame s
+        seg = _segment_score_table(emis)[:, kmin - 1:, :]
+        score = seg.transpose(2, 1, 0) + log_dur[None, :, None]
+        trans = np.exp(params.log_transition_matrix())
 
         log_alpha = np.full((n_frames, n_k, n_classes), -np.inf)
         log_norm = np.full(n_frames, -np.inf)
-        # trans_in[t, c]: unnormalized log mass entering class c after a
-        # segment boundary at frame t (cumulative normalizer folded in)
-        trans_in = np.full((n_frames, n_classes), -np.inf)
+        # entry[kmax + s, c]: unnormalized log mass entering class c by a
+        # segment starting at frame s (cumulative normalizer folded in);
+        # rows for s < 0 stay -inf, the row for s = T is never read
+        entry = np.full((kmax + n_frames + 1, n_classes), -np.inf)
+        entry[kmax] = -math.log(n_classes)
+        lengths = np.arange(n_k)
+        # start frame of each (frame, length) cell of a block, less t0
+        offsets = np.arange(kmin)[:, None] - np.arange(kmin, kmax + 1)[None, :] + 1
 
-        for t in range(n_frames):
-            hi = min(kmax, t + 1)
-            if hi < kmin:
-                continue
-            ks = np.arange(kmin, hi + 1)
-            starts = t - ks + 1
-            seg_scores = seg[:, ks - 1, starts].T  # (n_ks, C)
-            prev = np.where((starts == 0)[:, None], log_init,
-                            trans_in[np.maximum(starts - 1, 0)])
-            row = seg_scores + log_dur[ks - kmin][:, None] + prev
-            row_max = row.max()
-            if row_max == -np.inf:
-                continue
-            log_norm[t] = row_max + math.log(np.sum(np.exp(row - row_max)))
-            log_alpha[t, ks - kmin, :] = row - log_norm[t]
-            ending = logsumexp(log_alpha[t], axis=0)  # (C,) mass per ending class
-            trans_in[t] = log_norm[t] + logsumexp(log_trans + ending[:, None], axis=0)
+        for t0 in range(kmin - 1, n_frames, kmin):
+            t1 = min(t0 + kmin, n_frames)
+            starts = t0 + offsets[: t1 - t0]  # (b, n_k)
+            rows = score[np.maximum(starts, 0), lengths] + entry[kmax + starts]
+            peak = rows.max(axis=(1, 2))
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            mass = np.exp(rows - shift[:, None, None])
+            ending = mass.sum(axis=1)  # (b, C) mass per ending class
+            total = ending.sum(axis=1)
+            reached = total > 0  # False on frames that no tiling reaches
+            with np.errstate(divide="ignore"):
+                norm = shift + np.log(total)
+                # multiply and sum apart, not through BLAS: a fused
+                # multiply-add would make relabelling two classes change
+                # the lattice in its last bit
+                into = (ending[:, :, None] / np.where(reached, total, 1.0)[:, None, None]
+                        * trans).sum(axis=1)
+                entry[kmax + t0 + 1: kmax + t1 + 1] = norm[:, None] + np.log(into)
+            log_norm[t0:t1] = norm
+            log_alpha[t0:t1] = rows - np.where(reached, norm, 0.0)[:, None, None]
 
     if not np.isfinite(log_norm[-1]):
         raise InfeasibleSequenceError(
@@ -265,14 +308,6 @@ def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
             f"[{params.kmin}, {params.kmax}] exists")
     return ForwardLattice(log_alpha=log_alpha, log_norm=log_norm,
                           kmin=kmin, kmax=kmax)
-
-
-class _null_context:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 def backward_sample(lattice: ForwardLattice, params: HsmmParams,

@@ -10,7 +10,6 @@ backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,13 +105,26 @@ class PhaseTimer:
     def __init__(self):
         self.totals = {name: 0.0 for name in PHASES}
 
-    @contextmanager
-    def phase(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.totals[name] += time.perf_counter() - t0
+    def phase(self, name: str) -> "_Phase":
+        """Context manager adding its block's duration to ``totals[name]``."""
+        return _Phase(self.totals, name)
+
+
+class _Phase:
+    # a plain class rather than a generator context manager: the time
+    # spent entering and leaving a phase is time no phase accounts for
+    __slots__ = ("totals", "name", "start")
+
+    def __init__(self, totals: dict, name: str):
+        self.totals = totals
+        self.name = name
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.totals[self.name] += time.perf_counter() - self.start
+        return False
 
 
 class _BoundRffEmitter:
@@ -345,26 +357,28 @@ def initialize(sequences, config: TrainerConfig, seed: int | None = None) -> Tra
 
     if seed is None:
         seed = config.seed
-    ss = np.random.SeedSequence(seed)
-    bank_ss, gibbs_ss = ss.spawn(2)
-    bank_seed = int(bank_ss.generate_state(1, dtype=np.uint64)[0])
-    bank = sample_feature_bank(config.n_features, config.lengthscale, bank_seed)
-    rng = np.random.default_rng(gibbs_ss)
+    # everything that builds the chain's starting state is timed as stats
+    timer = PhaseTimer()
+    with timer.phase("stats"):
+        ss = np.random.SeedSequence(seed)
+        bank_ss, gibbs_ss = ss.spawn(2)
+        bank_seed = int(bank_ss.generate_state(1, dtype=np.uint64)[0])
+        bank = sample_feature_bank(config.n_features, config.lengthscale, bank_seed)
+        rng = np.random.default_rng(gibbs_ss)
 
-    hsmm = HsmmParams(n_classes=config.n_classes, kmin=config.kmin,
-                      kmax=config.kmax, mean_length=config.mean_length,
-                      alpha=config.alpha)
-    if config.backend == "rff":
-        emissions = RffEmissions(bank, config.n_classes, n_dims,
-                                 config.beta, config.psi)
-    else:
-        emissions = ExactGpEmissions(config.n_classes, n_dims,
-                                     config.beta, config.lengthscale)
+        hsmm = HsmmParams(n_classes=config.n_classes, kmin=config.kmin,
+                          kmax=config.kmax, mean_length=config.mean_length,
+                          alpha=config.alpha)
+        if config.backend == "rff":
+            emissions = RffEmissions(bank, config.n_classes, n_dims,
+                                     config.beta, config.psi)
+        else:
+            emissions = ExactGpEmissions(config.n_classes, n_dims,
+                                         config.beta, config.lengthscale)
 
-    state = TrainerState(config=config, sequences=sequences, bank=bank,
-                         hsmm=hsmm, emissions=emissions, assignments=[],
-                         rng_seed=seed, rng=rng)
-    with state.timer.phase("stats"):
+        state = TrainerState(config=config, sequences=sequences, bank=bank,
+                             hsmm=hsmm, emissions=emissions, assignments=[],
+                             rng_seed=seed, rng=rng, timer=timer)
         for seq_idx, seq in enumerate(sequences):
             spans = _random_spans(seq.shape[1], config.kmin, config.kmax, rng)
             labels = rng.integers(0, config.n_classes, size=len(spans))

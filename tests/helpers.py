@@ -5,6 +5,13 @@ import math
 
 import numpy as np
 
+from rffseg.hsmm import (
+    ForwardLattice,
+    InfeasibleSequenceError,
+    _segment_score_table,
+    build_log_emission_tables,
+)
+
 
 class TableEmitter:
     """Emitter backed by a fixed (kmax, T) log-density table."""
@@ -16,6 +23,19 @@ class TableEmitter:
     def log_emission_table(self, seq, kmax):
         self.calls += 1
         return self.table[:kmax, : seq.shape[1]]
+
+
+def direct_log_table(means, variances, seq):
+    """Per-dimension residual form of ``rffseg.hsmm.gaussian_log_table``."""
+    means = np.asarray(means, dtype=np.float64)
+    variances = np.broadcast_to(
+        np.asarray(variances, dtype=np.float64).reshape(len(means), -1), means.shape)
+    table = np.zeros((means.shape[0], seq.shape[1]))
+    for d in range(seq.shape[0]):
+        resid = seq[d][np.newaxis, :] - means[:, d][:, np.newaxis]
+        var = variances[:, d][:, np.newaxis]
+        table += -0.5 * (math.log(2.0 * math.pi) + np.log(var) + resid * resid / var)
+    return table
 
 
 def compositions(total, kmin, kmax):
@@ -62,3 +82,70 @@ def enumerate_posterior(tables, params, n_frames):
 def segmentation_key(segments):
     return (tuple(s.length for s in segments),
             tuple(s.label for s in segments))
+
+
+def logsumexp(a, axis=None):
+    """Shift-stable log-sum-exp that maps all-(-inf) slices to -inf."""
+    a = np.asarray(a, dtype=np.float64)
+    m = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis))
+    if axis is None:
+        return float(out + shift.ravel()[0])
+    return out + np.squeeze(shift, axis=axis)
+
+
+def reference_forward(seq, emitters, params):
+    """Frame-by-frame forward recursion, all in the log domain.
+
+    Same contract as ``rffseg.hsmm.forward_filter``: one step per frame,
+    each a log-sum-exp over (length, class) cells and one over
+    predecessor classes.
+    """
+    seq = np.asarray(seq, dtype=np.float64)
+    n_frames = seq.shape[1]
+    n_classes = params.n_classes
+    if n_frames < params.kmin:
+        raise InfeasibleSequenceError(
+            f"sequence of {n_frames} frames is shorter than kmin={params.kmin}")
+    kmin = params.kmin
+    kmax = min(params.kmax, n_frames)
+    n_k = kmax - kmin + 1
+
+    emis = build_log_emission_tables(seq, emitters, kmax)
+    seg = _segment_score_table(emis)
+    log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
+    log_trans = params.log_transition_matrix()
+    log_init = -math.log(n_classes)
+
+    log_alpha = np.full((n_frames, n_k, n_classes), -np.inf)
+    log_norm = np.full(n_frames, -np.inf)
+    # trans_in[t, c]: unnormalized log mass entering class c after a
+    # segment boundary at frame t (cumulative normalizer folded in)
+    trans_in = np.full((n_frames, n_classes), -np.inf)
+
+    for t in range(n_frames):
+        hi = min(kmax, t + 1)
+        if hi < kmin:
+            continue
+        ks = np.arange(kmin, hi + 1)
+        starts = t - ks + 1
+        seg_scores = seg[:, ks - 1, starts].T  # (n_ks, C)
+        prev = np.where((starts == 0)[:, None], log_init,
+                        trans_in[np.maximum(starts - 1, 0)])
+        row = seg_scores + log_dur[ks - kmin][:, None] + prev
+        row_max = row.max()
+        if row_max == -np.inf:
+            continue
+        log_norm[t] = row_max + math.log(np.sum(np.exp(row - row_max)))
+        log_alpha[t, ks - kmin, :] = row - log_norm[t]
+        ending = logsumexp(log_alpha[t], axis=0)  # (C,) mass per ending class
+        trans_in[t] = log_norm[t] + logsumexp(log_trans + ending[:, None], axis=0)
+
+    if not np.isfinite(log_norm[-1]):
+        raise InfeasibleSequenceError(
+            f"no segmentation of {n_frames} frames into lengths within "
+            f"[{params.kmin}, {params.kmax}] exists")
+    return ForwardLattice(log_alpha=log_alpha, log_norm=log_norm,
+                          kmin=kmin, kmax=kmax)

@@ -9,6 +9,8 @@ from rffseg.blr import ClassModel
 from rffseg.exact_gp import GpClassData
 from rffseg.features import sample_feature_bank
 
+from helpers import direct_log_table
+
 BETA = 10.0
 PSI = 1.0
 
@@ -243,3 +245,17 @@ def test_emission_table_matches_scalar_logpdf():
         for t in (0, 4, 8):
             ref = model.predictive_logpdf(bank, j + 1, seq[:, t])
             assert table[j, t] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_emission_table_matches_residual_form(offset):
+    # offset 1e4 with 0.1 residuals: un-normalized data far from zero
+    rng = np.random.default_rng(3)
+    model, bank = make_model(n_dims=3)
+    for _ in range(4):
+        model.add_segment(bank, offset + 0.1 * rng.normal(size=(3, 20)))
+    seq = offset + 0.1 * rng.normal(size=(3, 50))
+    means, variances = model.predictive(bank, np.arange(1, 26, dtype=np.float64))
+    table = model.log_emission_table(bank, seq, kmax=25)
+    np.testing.assert_allclose(table, direct_log_table(means, variances, seq),
+                               rtol=1e-10, atol=0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rffseg.cli import main, read_labels
+from rffseg.cli import THREADS_ENV, _openblas_thread_functions, limit_threads, main, read_labels
 from rffseg.features import FeatureBank
 
 
@@ -154,6 +154,22 @@ class TestSegment:
                     "--seed", 2, "--out", seg_dir]) == 0
         assert read_labels(seg_dir / "labels.txt").size == 60
 
+    def test_unknown_snapshot_version_is_refused(self, tmp_path, capsys):
+        data, files = synth_corpus(tmp_path, n_sequences=2)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", *files, "--out", run_dir,
+                    *TRAIN_FLAGS]) == 0
+        model = run_dir / "model.json"
+        snap = json.loads(model.read_text())
+        snap["format_version"] = 99
+        model.write_text(json.dumps(snap))
+        capsys.readouterr()
+        assert run(["segment", "--model", model, "--data", files[0],
+                    "--label-column", 2, "--out", tmp_path / "seg"]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "99" in err
+        assert not (tmp_path / "seg").exists()
+
     def test_frozen_model_segments_consistently_with_training(self, tmp_path):
         # labeling the training data again should roughly agree with the
         # training assignment (same patterns, same classes)
@@ -198,6 +214,47 @@ class TestEval:
         b.write_text("0\n1\n1\n")
         assert run(["eval", "--labels", a, "--truth", b]) == 2
         assert "length" in capsys.readouterr().err
+
+
+class TestThreads:
+    def test_cap_is_read_back_from_both_libraries(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        functions = _openblas_thread_functions()
+        if not functions:
+            pytest.skip("numpy and scipy carry no bundled OpenBLAS here")
+        before = [get() for _, get in functions]
+        try:
+            assert limit_threads(1) == 1
+            assert [get() for _, get in functions] == [1] * len(functions)
+            assert limit_threads(None) == 1
+        finally:
+            for (set_threads, _), count in zip(functions, before):
+                set_threads(count)
+        assert [get() for _, get in functions] == before
+
+    def test_bench_records_the_effective_count(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        before = limit_threads(None)
+        if before is None:
+            pytest.skip("numpy and scipy carry no bundled OpenBLAS here")
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        out = tmp_path / "bench"
+        try:
+            assert run(["bench", "--data", *files, "--out", out,
+                        "--label-column", 2, "--classes", 2, "--kmin", 8,
+                        "--kmax", 22, "--mean-length", 14, "--iterations", 1,
+                        "--backends", "rff", "--trials", 1,
+                        "--threads", 1]) == 0
+        finally:
+            limit_threads(before)
+        report = json.loads((out / "bench.json").read_text())
+        assert report["environment"]["threads"] == 1
+
+    def test_rejects_non_positive_cap(self, tmp_path, capsys):
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        assert run(["bench", "--data", *files, "--out", tmp_path / "b",
+                    "--label-column", 2, "--classes", 2, "--threads", 0]) == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestBench:

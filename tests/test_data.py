@@ -48,6 +48,17 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"bad\.txt:2"):
             load_sequences([path])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = write(tmp_path / "bad.txt", f"1 2\n# note\n3 4\n5 {cell}\n6 7\n")
+        with pytest.raises(DataFormatError, match=r"bad\.txt:4: non-finite"):
+            load_sequences([path])
+
+    def test_infinite_label_reports_line(self, tmp_path):
+        path = write(tmp_path / "bad.txt", "1 2 0\n3 4 inf\n")
+        with pytest.raises(DataFormatError, match=r"bad\.txt:2: bad label"):
+            load_sequences([path], LoadSchema(label_column=2))
+
     def test_label_column_attached_with_matching_length(self, tmp_path):
         path = write(tmp_path / "seq.txt", "0.5 1.5 0\n0.25 2.5 1\n1.0 0.0 1\n")
         store = load_sequences([path], LoadSchema(label_column=2))

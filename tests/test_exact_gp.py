@@ -7,6 +7,8 @@ from rffseg.blr import ClassModel
 from rffseg.exact_gp import GpClassData, rbf_kernel
 from rffseg.features import sample_feature_bank
 
+from helpers import direct_log_table
+
 BETA = 10.0
 
 
@@ -121,6 +123,22 @@ def test_emission_table_matches_scalar_calls():
         for t in (0, 3, 6):
             ref = gp.gp_emission_logpdf(float(j + 1), seq[:, t])
             assert table[j, t] == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_emission_table_matches_residual_form(offset):
+    # offset 1e4 with 0.1 residuals: un-normalized data far from zero
+    rng = np.random.default_rng(16)
+    gp = GpClassData(3, beta=BETA)
+    gp.set_points(np.tile(np.arange(1.0, 21.0), 3),
+                  offset + 0.1 * rng.normal(size=(60, 3)))
+    seq = offset + 0.1 * rng.normal(size=(3, 50))
+    predictive = [gp.gp_predictive(tau) for tau in range(1, 26)]
+    means = np.array([m for m, _ in predictive])
+    variances = np.array([v for _, v in predictive])
+    table = gp.log_emission_table(seq, kmax=25)
+    np.testing.assert_allclose(table, direct_log_table(means, variances, seq),
+                               rtol=1e-10, atol=0)
 
 
 def test_predictive_cost_grows_with_pool_superlinearly():

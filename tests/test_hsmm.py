@@ -12,10 +12,17 @@ from rffseg.hsmm import (
     Segment,
     backward_sample,
     forward_filter,
+    gaussian_log_table,
     tileable,
 )
 
-from helpers import TableEmitter, enumerate_posterior, segmentation_key
+from helpers import (
+    TableEmitter,
+    direct_log_table,
+    enumerate_posterior,
+    reference_forward,
+    segmentation_key,
+)
 
 
 def make_params(**kw):
@@ -190,6 +197,94 @@ class TestForwardFilter:
             n_frames=31, kmin=16, kmax=30, mean_length=20.0)
         with pytest.raises(InfeasibleSequenceError):
             forward_filter(seq, emitters, params)
+
+
+def random_instance(rng, n_frames, kmin, kmax, n_classes, scale=1.0):
+    tables = rng.normal(-1.0, scale, size=(n_classes, kmax, n_frames))
+    params = HsmmParams(
+        n_classes=n_classes, kmin=kmin, kmax=kmax,
+        mean_length=float(rng.uniform(kmin, kmax)), alpha=float(rng.uniform(0.3, 2.0)),
+        transition_counts=rng.integers(0, 6, size=(n_classes, n_classes)))
+    emitters = [TableEmitter(tables[c]) for c in range(n_classes)]
+    return np.zeros((1, n_frames)), tables, emitters, params
+
+
+class TestBlockedRecursion:
+    # (T, kmin, kmax, C): one-frame blocks (kmin=1), kmax > T, kmin == kmax,
+    # partial last blocks, and frames no tiling reaches
+    FEASIBLE = [(6, 1, 3, 2), (8, 1, 9, 2), (7, 1, 2, 3), (7, 2, 9, 3),
+                (8, 2, 2, 3), (9, 3, 3, 2), (8, 3, 4, 3), (7, 3, 4, 2),
+                (8, 3, 5, 1), (8, 4, 8, 2)]
+    INFEASIBLE = [(5, 3, 4, 2), (7, 2, 2, 2), (2, 3, 5, 2), (8, 5, 6, 2)]
+
+    @pytest.mark.parametrize("n_frames,kmin,kmax,n_classes", FEASIBLE)
+    def test_every_frame_matches_enumeration(self, n_frames, kmin, kmax, n_classes):
+        # frame t of the lattice is the forward pass over frames 0..t, so
+        # every prefix's enumerated posterior checks one slice
+        rng = np.random.default_rng([n_frames, kmin, kmax, n_classes])
+        seq, tables, emitters, params = random_instance(
+            rng, n_frames, kmin, kmax, n_classes)
+        lattice = forward_filter(seq, emitters, params)
+        for t in range(n_frames):
+            if not tileable(t + 1, kmin, kmax):
+                assert lattice.log_norm[t] == -np.inf
+                assert np.all(lattice.log_alpha[t] == -np.inf)
+                continue
+            outcomes, log_marginal = enumerate_posterior(tables, params, t + 1)
+            assert abs(lattice.log_norm[t] - log_marginal) < 1e-12
+            last = np.zeros_like(lattice.log_alpha[t])
+            for (lengths, labels), lw in outcomes.items():
+                last[lengths[-1] - kmin, labels[-1]] += math.exp(lw - log_marginal)
+            np.testing.assert_allclose(np.exp(lattice.log_alpha[t]), last,
+                                       rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n_frames,kmin,kmax,n_classes", INFEASIBLE)
+    def test_untileable_lattice_is_infeasible(self, n_frames, kmin, kmax, n_classes):
+        rng = np.random.default_rng([n_frames, kmin, kmax, n_classes])
+        seq, _, emitters, params = random_instance(rng, n_frames, kmin, kmax, n_classes)
+        with pytest.raises(InfeasibleSequenceError):
+            forward_filter(seq, emitters, params)
+
+    @pytest.mark.parametrize("n_frames,kmin,kmax", [
+        (164, 15, 30), (163, 15, 30), (171, 15, 30), (100, 15, 20), (64, 1, 5)])
+    def test_matches_frame_by_frame_recursion(self, n_frames, kmin, kmax):
+        # the shapes of the benchmark (C=11), with emissions on the scale
+        # of 8-dimensional densities; (100, 15, 20) leaves frames 20..29
+        # unreachable
+        rng = np.random.default_rng([n_frames, kmin, kmax])
+        seq, _, emitters, params = random_instance(
+            rng, n_frames, kmin, kmax, 11, scale=4.0)
+        got = forward_filter(seq, emitters, params)
+        want = reference_forward(seq, emitters, params)
+        np.testing.assert_array_equal(np.isneginf(got.log_alpha),
+                                      np.isneginf(want.log_alpha))
+        np.testing.assert_array_equal(np.isneginf(got.log_norm),
+                                      np.isneginf(want.log_norm))
+        assert np.isfinite(got.log_alpha[~np.isneginf(got.log_alpha)]).all()
+        reached = np.isfinite(want.log_norm)
+        np.testing.assert_allclose(got.log_norm[reached], want.log_norm[reached],
+                                   rtol=0, atol=1e-10)
+        live = np.isfinite(want.log_alpha)
+        np.testing.assert_allclose(got.log_alpha[live], want.log_alpha[live],
+                                   rtol=0, atol=1e-10)
+
+
+class TestGaussianLogTable:
+    @pytest.mark.parametrize("offset,spread", [(0.0, 1.0), (1e4, 0.1), (-250.0, 3.0)])
+    @pytest.mark.parametrize("shared_variance", [False, True])
+    def test_matches_residual_form(self, offset, spread, shared_variance):
+        # (1e4, 0.1) is un-normalized data far from the origin: the
+        # expanded square cancels unless frames and means are centred
+        rng = np.random.default_rng(5)
+        seq = offset + spread * rng.normal(size=(8, 164))
+        means = offset + spread * rng.normal(size=(30, 8))
+        variances = rng.uniform(0.05, 0.5, size=(30, 1 if shared_variance else 8))
+        if shared_variance:
+            variances = variances[:, 0]
+        table = gaussian_log_table(means, variances, seq)
+        want = direct_log_table(means, variances, seq)
+        assert table.shape == (30, 164)
+        np.testing.assert_allclose(table, want, rtol=1e-10, atol=0)
 
 
 class TestBackwardSample:
