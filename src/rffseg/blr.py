@@ -3,18 +3,19 @@
 Each segment class keeps one set of regression sufficient statistics per
 output dimension.  Segments can be absorbed and released incrementally
 (rank-k updates), and the Gaussian posterior predictive is recovered on
-demand by factorizing the accumulated precision matrix.
+demand by factorizing the accumulated precision matrix.  That precision
+does not depend on the dimension, so it is factorized once per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .features import FeatureBank
-from .hsmm import LOG_2PI, gaussian_log_table
+from .hsmm import gaussian_log_table
 
 __all__ = ["RegressionStats", "ClassModel"]
 
@@ -43,7 +44,9 @@ class RegressionStats:
 class ClassModel:
     """Emission model of one segment class, independent per dimension.
 
-    The posterior mean/covariance cache is refreshed lazily: statistics
+    Every dimension shares one precision ``psi*I + beta * sum phi phi^T``,
+    so the posterior is one factorization per class.  The posterior and
+    the predictive at positions 1..kmax are refreshed lazily: statistics
     updates are cheap rank-k operations, the O(M^3) factorization runs
     once per refresh.  Single writer; reads are safe once refreshed.
     """
@@ -60,95 +63,99 @@ class ClassModel:
         self.stats = [RegressionStats.empty(n_features, psi) for _ in range(n_dims)]
         self.dirty = True
         self._post_mean = np.zeros((n_dims, n_features))
-        self._post_cov = np.broadcast_to(np.eye(n_features) / psi,
-                                         (n_dims, n_features, n_features)).copy()
+        self._post_cov = np.eye(n_features) / psi
+        # (bank, kmax, means, variances) of the last emission table; a
+        # refresh that recomputes the posterior drops it
+        self._predictive_cache = None
 
     @property
     def n_points(self) -> int:
         return self.stats[0].n_points
 
-    def _phi_block(self, bank: FeatureBank, length: int) -> np.ndarray:
-        # within-segment times are 1-based
-        return bank.phi(np.arange(1, length + 1, dtype=np.float64))
-
     def add_segment(self, bank: FeatureBank, segment: np.ndarray) -> None:
         """Absorb one (n_dims, k) segment into the statistics."""
-        segment = np.asarray(segment, dtype=np.float64)
-        if segment.ndim != 2 or segment.shape[0] != self.n_dims:
-            raise ValueError(
-                f"segment must have shape ({self.n_dims}, k), got {segment.shape}")
-        k = segment.shape[1]
-        phi = self._phi_block(bank, k)
-        gram = self.beta * (phi.T @ phi)
-        proj = self.beta * (segment @ phi)  # (n_dims, n_features)
-        for d, st in enumerate(self.stats):
-            st.precision += gram
-            st.proj += proj[d]
-            st.n_points += k
-        self.dirty = True
+        self._accumulate(bank, self._checked(segment), 1)
 
     def remove_segment(self, bank: FeatureBank, segment: np.ndarray) -> None:
         """Release a previously absorbed segment (exact inverse of add)."""
-        segment = np.asarray(segment, dtype=np.float64)
-        if segment.ndim != 2 or segment.shape[0] != self.n_dims:
-            raise ValueError(
-                f"segment must have shape ({self.n_dims}, k), got {segment.shape}")
+        segment = self._checked(segment)
         k = segment.shape[1]
         if self.n_points < k:
             raise ValueError(
                 f"class {self.class_id}: removing {k} points from a model "
                 f"holding {self.n_points} (caller bookkeeping bug)")
-        phi = self._phi_block(bank, k)
-        gram = self.beta * (phi.T @ phi)
-        proj = self.beta * (segment @ phi)
-        for d, st in enumerate(self.stats):
-            st.precision -= gram
-            st.proj -= proj[d]
-            st.n_points -= k
+        self._accumulate(bank, segment, -1)
+
+    def _checked(self, segment) -> np.ndarray:
+        segment = np.asarray(segment, dtype=np.float64)
+        if segment.ndim != 2 or segment.shape[0] != self.n_dims:
+            raise ValueError(
+                f"segment must have shape ({self.n_dims}, k), got {segment.shape}")
+        return segment
+
+    def _accumulate(self, bank: FeatureBank, segment: np.ndarray, sign: int) -> None:
+        # within-segment times are 1-based, so the segment's features and
+        # Gram are the bank's first k rows and its k-th prefix Gram
+        k = segment.shape[1]
+        scale = sign * self.beta
+        gram = scale * bank.prefix_gram(k)
+        proj = scale * (segment @ bank.position_features(k))  # (n_dims, n_features)
+        for st, row in zip(self.stats, proj):
+            st.precision += gram
+            st.proj += row
+            st.n_points += sign * k
         self.dirty = True
 
-    def refresh(self) -> None:
-        """Recompute the per-dimension posterior from the statistics.
+    def shared_precision(self) -> np.ndarray:
+        """The precision matrix, which every dimension's statistics share.
 
-        The mean comes from a Cholesky solve; the explicit inverse is
+        Raises ``ValueError`` if the per-dimension copies are not
+        bit-identical, which only a write to ``stats`` from outside the
+        class can cause: every update here applies the same increment to
+        each copy.
+        """
+        precision = self.stats[0].precision
+        reference = precision.tobytes()
+        for d, st in enumerate(self.stats[1:], start=1):
+            if st.precision.tobytes() != reference:
+                raise ValueError(
+                    f"class {self.class_id}: the precision of dimension {d} "
+                    f"differs from that of dimension 0; every dimension must "
+                    f"share one precision")
+        return precision
+
+    def refresh(self) -> None:
+        """Recompute the posterior from the statistics.
+
+        One Cholesky factorization of the shared precision; the means of
+        all dimensions come from one solve.  The explicit inverse is
         kept only for the phi^T Sigma phi predictive quadratic form.
         """
         if not self.dirty:
             return
-        eye = np.eye(self.n_features)
-        for d, st in enumerate(self.stats):
-            cf = cho_factor(st.precision, lower=True, check_finite=False)
-            self._post_mean[d] = cho_solve(cf, st.proj, check_finite=False)
-            self._post_cov[d] = cho_solve(cf, eye, check_finite=False)
+        cf = cho_factor(self.shared_precision(), lower=True, check_finite=False)
+        proj = np.array([st.proj for st in self.stats]).T  # (M, D)
+        self._post_mean = cho_solve(cf, proj, check_finite=False).T
+        self._post_cov = cho_solve(cf, np.eye(self.n_features), check_finite=False)
+        self._predictive_cache = None
         self.dirty = False
+
+    def _predict(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # means (..., D) and the variance (...,) shared by every dimension
+        means = phi @ self._post_mean.T
+        variances = 1.0 / self.beta + np.sum((phi @ self._post_cov) * phi, axis=-1)
+        return means, variances
 
     def predictive(self, bank: FeatureBank, tau) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and variances at within-segment time ``tau``.
 
         Returns arrays of shape ``(..., n_dims)`` for scalar or vector
-        ``tau``; variances include the beta^-1 observation noise.
+        ``tau``; variances include the beta^-1 observation noise and are
+        equal across dimensions.
         """
         self.refresh()
-        phi = bank.phi(tau)  # (..., M)
-        means = phi @ self._post_mean.T  # (..., D)
-        quad = np.einsum("...i,dij,...j->...d", phi, self._post_cov, phi)
-        variances = 1.0 / self.beta + quad
-        return means, variances
-
-    def predictive_logpdf(self, bank: FeatureBank, tau: int, x) -> float:
-        """Log density of observation ``x`` (length n_dims) at time ``tau``.
-
-        Dimensions are independent; the result is the per-dimension
-        Gaussian log densities summed in dimension order.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        means, variances = self.predictive(bank, float(tau))
-        total = 0.0
-        for d in range(self.n_dims):
-            resid = x[d] - means[d]
-            total += -0.5 * (LOG_2PI + np.log(variances[d])
-                             + resid * resid / variances[d])
-        return float(total)
+        means, variances = self._predict(bank.phi(tau))
+        return means, np.repeat(variances[..., np.newaxis], self.n_dims, axis=-1)
 
     def log_emission_table(self, bank: FeatureBank, seq: np.ndarray,
                            kmax: int) -> np.ndarray:
@@ -156,12 +163,14 @@ class ClassModel:
 
         Entry ``[j, t]`` is the log density of frame ``t`` of ``seq``
         (shape ``(n_dims, T)``) when placed at within-segment position
-        ``j + 1``.  Shape ``(kmax, T)``.
+        ``j + 1``.  Shape ``(kmax, T)``.  The predictive at positions
+        1..kmax is kept until the posterior next changes.
         """
         self.refresh()
-        taus = np.arange(1, kmax + 1, dtype=np.float64)
-        phi = bank.phi(taus)  # (kmax, M)
-        means = phi @ self._post_mean.T  # (kmax, D)
-        quad = np.einsum("dtj,tj->td", phi @ self._post_cov, phi)
-        variances = 1.0 / self.beta + quad  # (kmax, D)
+        cached = self._predictive_cache
+        if cached is None or cached[0] is not bank or cached[1] != kmax:
+            taus = np.arange(1, kmax + 1, dtype=np.float64)
+            cached = (bank, kmax, *self._predict(bank.phi(taus)))
+            self._predictive_cache = cached
+        _, _, means, variances = cached
         return gaussian_log_table(means, variances, seq)

@@ -46,7 +46,7 @@ from .trainer import (
     train_with_restarts,
 )
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 THREADS_ENV = "RFFSEG_THREADS"
 

@@ -181,6 +181,10 @@ def preprocess(store: SequenceStore, downsample: int = 1,
         rec = PreprocessRecord(downsample=downsample, normalized=False)
         return SequenceStore(seqs, list(store.names), labels, rec)
     if record is not None and record.mins is not None:
+        if record.mins.shape[0] != seqs[0].shape[0]:
+            raise ValueError(
+                f"normalization record covers {record.mins.shape[0]} dimensions, "
+                f"data has {seqs[0].shape[0]}")
         mins, maxs = record.mins, record.maxs
     else:
         stacked = np.hstack(seqs)

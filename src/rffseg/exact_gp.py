@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .hsmm import LOG_2PI, gaussian_log_table
+from .hsmm import gaussian_log_table
 
 __all__ = ["rbf_kernel", "GpClassData"]
 
@@ -62,13 +62,6 @@ class GpClassData:
         self._kinv = None
         self._kinv_x = None
 
-    def add_points(self, taus, values) -> None:
-        """Append points; invalidates the cache."""
-        taus = np.asarray(taus, dtype=np.float64).ravel()
-        values = np.asarray(values, dtype=np.float64).reshape(taus.shape[0], self.n_dims)
-        self.set_points(np.concatenate([self.taus, taus]),
-                        np.vstack([self.values, values]))
-
     def refresh(self) -> None:
         """Rebuild K, its explicit inverse, and K^-1 X from scratch."""
         if self._kinv is not None:
@@ -107,13 +100,6 @@ class GpClassData:
         mean = kvec @ self._kinv_x
         var = prior_var + 1.0 / self.beta - float(kvec @ self._kinv @ kvec)
         return mean, var
-
-    def gp_emission_logpdf(self, tau, x) -> float:
-        """Summed per-dimension Gaussian log density of observation ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        mean, var = self.gp_predictive(tau)
-        resid = x - mean
-        return float(-0.5 * np.sum(LOG_2PI + np.log(var) + resid * resid / var))
 
     def log_emission_table(self, seq: np.ndarray, kmax: int) -> np.ndarray:
         """Frame log densities for within-segment positions 1..kmax.

@@ -8,7 +8,7 @@ regression over the features stand in for Gaussian process regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,11 @@ __all__ = ["FeatureBank", "sample_feature_bank"]
 class FeatureBank:
     """Sampled spectral frequencies and phases defining the feature map.
 
-    Immutable after construction; :meth:`phi` and :meth:`kernel_approx`
-    are pure, so one bank can be shared across classes, dimensions and
-    threads.
+    The sampled values are immutable after construction and
+    :meth:`phi` and :meth:`kernel_approx` are pure.  The features at
+    within-segment positions and their prefix Grams are memoised on the
+    bank, once for every class and dimension that shares it; the cached
+    arrays are read-only.
     """
 
     n_features: int
@@ -29,6 +31,8 @@ class FeatureBank:
     seed: int
     omegas: np.ndarray
     phases: np.ndarray
+    _positions: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_features < 1:
@@ -51,6 +55,35 @@ class FeatureBank:
         t = np.asarray(t, dtype=np.float64)
         proj = np.multiply.outer(t, self.omegas) + self.phases
         return np.sqrt(2.0 / self.n_features) * np.cos(proj)
+
+    def position_features(self, length: int) -> np.ndarray:
+        """``phi(1..length)``, the features at within-segment positions.
+
+        Shape ``(length, n_features)``.  The cache grows by appending
+        rows, so a row never changes once computed.
+        """
+        cached = self._positions
+        if cached is None or cached.shape[0] < length:
+            start = 0 if cached is None else cached.shape[0]
+            rows = self.phi(np.arange(start + 1, length + 1, dtype=np.float64))
+            cached = rows if cached is None else np.vstack([cached, rows])
+            cached.setflags(write=False)
+            object.__setattr__(self, "_positions", cached)
+        return cached[:length]
+
+    def prefix_gram(self, length: int) -> np.ndarray:
+        """``Phi^T Phi`` over positions ``1..length``, shape ``(M, M)``.
+
+        A segment always starts at position 1, so this is the Gram of
+        every segment of that length.  Cached per length.
+        """
+        gram = self._grams.get(length)
+        if gram is None:
+            phi = self.position_features(length)
+            gram = phi.T @ phi
+            gram.setflags(write=False)
+            self._grams[length] = gram
+        return gram
 
     def kernel_approx(self, t_p: float, t_q: float) -> float:
         """Monte Carlo kernel value ``phi(t_p) . phi(t_q)``.

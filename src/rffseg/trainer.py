@@ -134,9 +134,6 @@ class _BoundRffEmitter:
         self.model = model
         self.bank = bank
 
-    def logpdf(self, tau, x):
-        return self.model.predictive_logpdf(self.bank, tau, x)
-
     def log_emission_table(self, seq, kmax):
         return self.model.log_emission_table(self.bank, seq, kmax)
 
@@ -474,10 +471,15 @@ def train_with_restarts(sequences, config: TrainerConfig) -> SegmentationResult:
 
 
 def snapshot_dict(state: TrainerState) -> dict:
-    """Serializable model state: feature bank, class stats, chain counts."""
+    """Serializable model state: feature bank, class stats, chain counts.
+
+    An rff class is stored as its one shared precision, its ``(D, M)``
+    projections and its point count.
+    """
     hsmm = state.hsmm
     out = {
         "backend": state.emissions.backend_name,
+        "n_dims": state.sequences[0].shape[0],
         "bank": state.bank.to_dict(),
         "hsmm": {
             "n_classes": hsmm.n_classes,
@@ -494,10 +496,8 @@ def snapshot_dict(state: TrainerState) -> dict:
             {
                 "class_id": m.class_id,
                 "n_points": m.n_points,
-                "per_dim": [
-                    {"precision": st.precision.tolist(), "proj": st.proj.tolist()}
-                    for st in m.stats
-                ],
+                "precision": m.shared_precision().tolist(),
+                "proj": [st.proj.tolist() for st in m.stats],
             }
             for m in state.emissions.class_models
         ]
@@ -512,18 +512,22 @@ def snapshot_dict(state: TrainerState) -> dict:
 
 def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
                             lengthscale: float):
-    """Rebuild an emission backend (and bank) from a snapshot dict."""
+    """Rebuild an emission backend (and bank) from a snapshot dict.
+
+    Raises ``ValueError`` when the snapshot was trained on a different
+    number of dimensions than ``n_dims``.
+    """
+    if int(snap["n_dims"]) != n_dims:
+        raise ValueError(
+            f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")
     bank = FeatureBank.from_dict(snap["bank"])
     if snap["backend"] == "rff":
         emissions = RffEmissions(bank, len(snap["classes"]), n_dims, beta, psi)
         for entry, model in zip(snap["classes"], emissions.class_models):
-            if len(entry["per_dim"]) != n_dims:
-                raise ValueError(
-                    f"snapshot was trained on {len(entry['per_dim'])} "
-                    f"dimensions, data has {n_dims}")
-            for st, stored in zip(model.stats, entry["per_dim"]):
-                st.precision = np.asarray(stored["precision"], dtype=np.float64)
-                st.proj = np.asarray(stored["proj"], dtype=np.float64)
+            precision = np.asarray(entry["precision"], dtype=np.float64)
+            for st, proj in zip(model.stats, entry["proj"]):
+                st.precision = precision.copy()
+                st.proj = np.asarray(proj, dtype=np.float64)
                 st.n_points = int(entry["n_points"])
             model.dirty = True
     else:

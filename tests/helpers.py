@@ -38,6 +38,22 @@ def direct_log_table(means, variances, seq):
     return table
 
 
+def gaussian_logpdf(x, means, variances):
+    """Log density of one frame ``x`` under independent per-dimension Gaussians.
+
+    ``means`` has one entry per dimension; ``variances`` likewise, or
+    one value shared by every dimension.  The scalar oracle for the
+    emission tables: the per-dimension terms are summed in order.
+    """
+    means = np.asarray(means, dtype=np.float64)
+    variances = np.broadcast_to(np.asarray(variances, dtype=np.float64), means.shape)
+    total = 0.0
+    for x_d, m_d, v_d in zip(np.asarray(x, dtype=np.float64), means, variances):
+        resid = x_d - m_d
+        total += -0.5 * (math.log(2.0 * math.pi) + math.log(v_d) + resid * resid / v_d)
+    return total
+
+
 def compositions(total, kmin, kmax):
     """All orderings of lengths in [kmin, kmax] that sum to total."""
     if total == 0:

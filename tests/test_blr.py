@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import rffseg.blr
 from rffseg.blr import ClassModel
 from rffseg.exact_gp import GpClassData
 from rffseg.features import sample_feature_bank
 
-from helpers import direct_log_table
+from helpers import direct_log_table, gaussian_logpdf
 
 BETA = 10.0
 PSI = 1.0
@@ -143,10 +144,10 @@ def test_logpdf_peaks_at_predictive_mean():
     rng = np.random.default_rng(6)
     model.add_segment(bank, rng.normal(0, 1, size=(2, 10)))
     means, _ = model.predictive(bank, 4.0)
-    at_mean = model.predictive_logpdf(bank, 4, means)
-    for _ in range(20):
-        other = means + rng.normal(0, 0.5, size=2)
-        assert model.predictive_logpdf(bank, 4, other) <= at_mean
+    frames = np.column_stack(
+        [means] + [means + rng.normal(0, 0.5, size=2) for _ in range(20)])
+    at_tau = model.log_emission_table(bank, frames, kmax=4)[3]
+    assert np.all(at_tau[1:] <= at_tau[0])
 
 
 def test_variance_floor_and_shrinkage():
@@ -189,23 +190,21 @@ def test_logpdf_decomposes_over_dimensions():
     joint.add_segment(bank, seg)
     x = rng.normal(0, 1, 3)
 
-    # same model: per-dimension Gaussian terms summed in order are the call
-    means, variances = joint.predictive(bank, 4.0)
-    total = 0.0
-    for d in range(3):
-        resid = x[d] - means[d]
-        total += -0.5 * (np.log(2.0 * np.pi) + np.log(variances[d])
-                         + resid * resid / variances[d])
-    assert joint.predictive_logpdf(bank, 4, x) == float(total)
+    # same model: the table entry is the per-dimension Gaussian terms summed
+    joint_logpdf = gaussian_logpdf(x, *joint.predictive(bank, 4.0))
+    joint_table = joint.log_emission_table(bank, x[:, None], kmax=4)
+    assert joint_table[3, 0] == pytest.approx(joint_logpdf, rel=1e-12, abs=1e-12)
 
     # independently built one-dimensional models agree to rounding
     parts = 0.0
+    solo_tables = np.zeros((4, 1))
     for d in range(3):
         solo = ClassModel(0, 1, 50, beta=BETA, psi=PSI)
         solo.add_segment(bank, seg[d:d + 1])
-        parts += solo.predictive_logpdf(bank, 4, x[d:d + 1])
-    assert math.isclose(joint.predictive_logpdf(bank, 4, x), parts,
-                        rel_tol=1e-12, abs_tol=1e-12)
+        parts += gaussian_logpdf(x[d:d + 1], *solo.predictive(bank, 4.0))
+        solo_tables += solo.log_emission_table(bank, x[d:d + 1, None], kmax=4)
+    assert math.isclose(joint_logpdf, parts, rel_tol=1e-12, abs_tol=1e-12)
+    np.testing.assert_allclose(joint_table, solo_tables, rtol=1e-12, atol=1e-12)
 
 
 def test_woodbury_equivalence_with_feature_kernel():
@@ -243,7 +242,7 @@ def test_emission_table_matches_scalar_logpdf():
     assert table.shape == (6, 9)
     for j in (0, 3, 5):
         for t in (0, 4, 8):
-            ref = model.predictive_logpdf(bank, j + 1, seq[:, t])
+            ref = gaussian_logpdf(seq[:, t], *model.predictive(bank, float(j + 1)))
             assert table[j, t] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -259,3 +258,79 @@ def test_emission_table_matches_residual_form(offset):
     table = model.log_emission_table(bank, seq, kmax=25)
     np.testing.assert_allclose(table, direct_log_table(means, variances, seq),
                                rtol=1e-10, atol=0)
+
+
+def test_cached_table_follows_every_statistics_change():
+    # oracle: a model built fresh from the same statistics, never cached
+    rng = np.random.default_rng(21)
+    bank = sample_feature_bank(20, 1.0, seed=8)
+    seq = rng.normal(size=(2, 40))
+    segs = [rng.normal(size=(2, k)) for k in (12, 20, 9)]
+
+    def fresh(*kept):
+        model, _ = make_model(n_dims=2)
+        for seg in kept:
+            model.add_segment(bank, seg)
+        return model.log_emission_table(bank, seq, kmax=25)
+
+    model, _ = make_model(n_dims=2)
+
+    def cached(kmax=25):
+        return model.log_emission_table(bank, seq, kmax=kmax)
+
+    np.testing.assert_array_equal(cached(), fresh())
+    model.add_segment(bank, segs[0])
+    np.testing.assert_array_equal(cached(), fresh(segs[0]))
+    model.add_segment(bank, segs[1])
+    np.testing.assert_array_equal(cached(), fresh(segs[0], segs[1]))
+    model.remove_segment(bank, segs[0])
+    np.testing.assert_allclose(cached(), fresh(segs[1]), rtol=1e-10)
+    model.refresh()
+    np.testing.assert_allclose(cached(), fresh(segs[1]), rtol=1e-10)
+    np.testing.assert_allclose(cached(kmax=10), fresh(segs[1])[:10], rtol=1e-10)
+
+    # statistics written from outside, then marked dirty (criterion 2's pattern)
+    phi = bank.phi(np.arange(1.0, 10.0))
+    for st, row in zip(model.stats, segs[2]):
+        st.precision += BETA * (phi.T @ phi)
+        st.proj += BETA * (phi.T @ row)
+        st.n_points += 9
+    model.dirty = True
+    np.testing.assert_allclose(cached(), fresh(segs[1], segs[2]), rtol=1e-10)
+
+
+def test_refresh_rejects_disagreeing_precisions():
+    model, bank = make_model(n_dims=3)
+    model.add_segment(bank, np.ones((3, 5)))
+    model.stats[2].precision[0, 0] += 1e-9
+    model.dirty = True
+    with pytest.raises(ValueError, match="class 0.*dimension 2"):
+        model.refresh()
+
+
+def test_one_factorization_per_dirty_class(monkeypatch):
+    calls = []
+    real = rffseg.blr.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rffseg.blr, "cho_factor", counting)
+    bank = sample_feature_bank(20, 1.0, seed=4)
+    models = [ClassModel(c, 8, 20, beta=BETA, psi=PSI) for c in range(5)]
+    for model in models:
+        model.refresh()
+    assert len(calls) == 5
+    rng = np.random.default_rng(0)
+    for c in (1, 3):
+        models[c].add_segment(bank, rng.normal(size=(8, 15)))
+    calls.clear()
+    for model in models:
+        model.refresh()
+        model.log_emission_table(bank, rng.normal(size=(8, 30)), kmax=20)
+    assert len(calls) == 2
+    calls.clear()
+    for model in models:
+        model.refresh()
+    assert calls == []

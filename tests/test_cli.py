@@ -111,7 +111,7 @@ class TestTrain:
         again = FeatureBank.from_dict(
             json.loads((out / "model.json").read_text())["model"]["bank"])
         assert np.array_equal(bank.omegas, again.omegas)
-        assert snap["format_version"] == 1
+        assert snap["format_version"] == 2
         assert snap["preprocess"]["downsample"] == 1
         counts = np.asarray(snap["model"]["hsmm"]["transition_counts"])
         assert counts.shape == (3, 3)
@@ -161,13 +161,32 @@ class TestSegment:
                     *TRAIN_FLAGS]) == 0
         model = run_dir / "model.json"
         snap = json.loads(model.read_text())
-        snap["format_version"] = 99
-        model.write_text(json.dumps(snap))
+        for version in (1, 99):  # 1 stored a precision per dimension
+            snap["format_version"] = version
+            model.write_text(json.dumps(snap))
+            capsys.readouterr()
+            assert run(["segment", "--model", model, "--data", files[0],
+                        "--label-column", 2, "--out", tmp_path / "seg"]) == 2
+            err = capsys.readouterr().err
+            assert str(model) in err and f"version {version}" in err
+            assert not (tmp_path / "seg").exists()
+
+    @pytest.mark.parametrize("backend, normalize, message", [
+        ("rff", [], "normalization record covers 2 dimensions, data has 1"),
+        ("exact-gp", ["--no-normalize"],
+         "snapshot was trained on 2 dimensions, data has 1"),
+    ])
+    def test_dimension_count_mismatch_is_refused(self, tmp_path, capsys, backend,
+                                                 normalize, message):
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", *files, "--out", run_dir,
+                    "--backend", backend, *normalize, *TRAIN_FLAGS]) == 0
         capsys.readouterr()
-        assert run(["segment", "--model", model, "--data", files[0],
-                    "--label-column", 2, "--out", tmp_path / "seg"]) == 2
-        err = capsys.readouterr().err
-        assert str(model) in err and "99" in err
+        assert run(["segment", "--model", run_dir / "model.json",
+                    "--data", files[0], "--label-column", 2, "--columns", 0,
+                    "--out", tmp_path / "seg"]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
 
     def test_frozen_model_segments_consistently_with_training(self, tmp_path):

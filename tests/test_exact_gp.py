@@ -7,7 +7,7 @@ from rffseg.blr import ClassModel
 from rffseg.exact_gp import GpClassData, rbf_kernel
 from rffseg.features import sample_feature_bank
 
-from helpers import direct_log_table
+from helpers import direct_log_table, gaussian_logpdf
 
 BETA = 10.0
 
@@ -65,7 +65,8 @@ def test_logpdf_reduces_to_prior_when_empty():
     x = np.array([0.3, -0.7])
     var = 1.0 + 1.0 / BETA
     expected = np.sum(-0.5 * (np.log(2.0 * np.pi) + np.log(var) + x * x / var))
-    assert gp.gp_emission_logpdf(5.0, x) == pytest.approx(expected, rel=1e-12)
+    table = gp.log_emission_table(x[:, None], kmax=5)
+    assert table[4, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_logpdf_peaks_at_predictive_mean():
@@ -73,9 +74,10 @@ def test_logpdf_peaks_at_predictive_mean():
     gp = GpClassData(2, beta=BETA)
     gp.set_points(np.arange(1, 21, dtype=float), rng.normal(0, 1, size=(20, 2)))
     mean, _ = gp.gp_predictive(7.0)
-    best = gp.gp_emission_logpdf(7.0, mean)
-    for _ in range(20):
-        assert gp.gp_emission_logpdf(7.0, mean + rng.normal(0, 0.3, 2)) <= best
+    frames = np.column_stack(
+        [mean] + [mean + rng.normal(0, 0.3, 2) for _ in range(20)])
+    at_tau = gp.log_emission_table(frames, kmax=7)[6]
+    assert np.all(at_tau[1:] <= at_tau[0])
 
 
 def test_matches_rff_regression_through_feature_kernel():
@@ -89,8 +91,8 @@ def test_matches_rff_regression_through_feature_kernel():
     gp.set_points(np.arange(1, 26, dtype=float), seg.T)
     for tau in (1, 9, 25):
         x = rng.normal(0, 1, 1)
-        a = model.predictive_logpdf(bank, tau, x)
-        b = gp.gp_emission_logpdf(float(tau), x)
+        a = gaussian_logpdf(x, *model.predictive(bank, float(tau)))
+        b = gaussian_logpdf(x, *gp.gp_predictive(float(tau)))
         assert abs(a - b) / abs(b) < 1e-6
 
 
@@ -121,7 +123,7 @@ def test_emission_table_matches_scalar_calls():
     assert table.shape == (5, 7)
     for j in (0, 2, 4):
         for t in (0, 3, 6):
-            ref = gp.gp_emission_logpdf(float(j + 1), seq[:, t])
+            ref = gaussian_logpdf(seq[:, t], *gp.gp_predictive(float(j + 1)))
             assert table[j, t] == pytest.approx(ref, rel=1e-10)
 
 

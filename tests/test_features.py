@@ -140,3 +140,19 @@ def test_serialization_roundtrip_is_bit_exact():
     assert restored.seed == bank.seed
     assert np.array_equal(restored.omegas, bank.omegas)
     assert np.array_equal(restored.phases, bank.phases)
+
+
+def test_position_features_and_prefix_grams_match_direct_products():
+    bank = sample_feature_bank(20, 1.0, seed=21)
+    kmax = 30
+    bank.position_features(7)  # the cache then grows by appended rows
+    early = bank.position_features(7).copy()
+    phi = bank.phi(np.arange(1, kmax + 1, dtype=np.float64))
+    np.testing.assert_array_equal(bank.position_features(kmax), phi)
+    np.testing.assert_array_equal(bank.position_features(7), early)
+    for k in range(1, kmax + 1):
+        want = phi[:k].T @ phi[:k]
+        np.testing.assert_allclose(bank.prefix_gram(k), want, rtol=0, atol=1e-12)
+    assert bank.prefix_gram(12) is bank.prefix_gram(12)
+    with pytest.raises(ValueError):
+        bank.prefix_gram(5)[0, 0] = 1.0

@@ -1,5 +1,7 @@
 """Gibbs trainer: initialization, sweeps, audits, and convergence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from rffseg.hsmm import InfeasibleSequenceError
 from rffseg.trainer import (
     ConfigError,
     TrainerConfig,
+    emissions_from_snapshot,
     gibbs_sweep,
     initialize,
     labels_from_spans,
+    snapshot_dict,
     train,
     train_with_restarts,
 )
@@ -214,3 +218,34 @@ class TestBackendSwap:
                       TrainerConfig(backend="exact-gp", **base))
         for a, b in zip(rff.loglik_trace, exact.loglik_trace):
             assert abs(a - b) / abs(b) < 0.05
+
+
+class TestSnapshot:
+    def test_round_trip_gives_the_same_emission_tables(self):
+        store = small_store()
+        config = small_config()
+        state = train(store.sequences, config).state
+        snap = json.loads(json.dumps(snapshot_dict(state)))
+        assert snap["n_dims"] == 2
+        assert np.shape(snap["classes"][0]["precision"]) == (20, 20)
+        assert np.shape(snap["classes"][0]["proj"]) == (2, 20)
+        bank, emissions = emissions_from_snapshot(
+            snap, 2, config.beta, config.psi, config.lengthscale)
+        seq = store.sequences[0]
+        for have, want in zip(emissions.emitters(), state.emissions.emitters()):
+            np.testing.assert_array_equal(have.log_emission_table(seq, config.kmax),
+                                          want.log_emission_table(seq, config.kmax))
+            assert have.model.n_points == want.model.n_points
+        # the rebuilt statistics keep absorbing segments like the originals
+        for emitted in (emissions, state.emissions):
+            emitted.add(0, None, seq[:, :config.kmin])
+        np.testing.assert_array_equal(
+            emissions.emitters()[0].log_emission_table(seq, config.kmax),
+            state.emissions.emitters()[0].log_emission_table(seq, config.kmax))
+
+    def test_dimension_count_mismatch_names_both(self):
+        store = small_store()
+        state = initialize(store.sequences, small_config(backend="exact-gp"))
+        snap = snapshot_dict(state)
+        with pytest.raises(ValueError, match="trained on 2 dimensions, data has 3"):
+            emissions_from_snapshot(snap, 3, 10.0, 1.0, 1.0)
