@@ -15,7 +15,7 @@ import platform
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .data import (
 )
 from .hsmm import InfeasibleSequenceError, backward_sample, forward_filter
 from .trainer import (
+    BACKENDS,
     ConfigError,
     TrainerConfig,
     emissions_from_snapshot,
@@ -60,42 +61,23 @@ OPENBLAS_LIBRARIES = (
 
 
 @dataclass
-class RunConfig:
-    """Echo of everything that shaped a run, written into every artifact."""
+class RunConfig(TrainerConfig):
+    """Echo of everything that shaped a run, written into every artifact.
 
-    backend: str = "rff"
-    n_features: int = 20
-    lengthscale: float = 1.0
-    beta: float = 10.0
-    psi: float = 1.0
+    The model and sampler settings, and their defaults, are
+    ``TrainerConfig``'s; the CLI's own default is ``n_classes=11``.  The
+    fields added here are the run's input, output and thread settings.
+    """
+
     n_classes: int = 11
-    kmin: int = 15
-    kmax: int = 30
-    mean_length: float = 20.0
-    alpha: float = 1.0
-    iterations: int = 5
-    restarts: int = 1
-    seed: int = 0
     downsample: int = 1
     normalize: bool = True
     columns: list | None = None
     label_column: int | None = None
     delimiter: str | None = None
-    audit: bool = False
-    shuffle_sequences: bool = False
     threads: int | None = None
     data: list = field(default_factory=list)
     out: str | None = None
-
-    def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            n_classes=self.n_classes, backend=self.backend,
-            n_features=self.n_features, lengthscale=self.lengthscale,
-            beta=self.beta, psi=self.psi, kmin=self.kmin, kmax=self.kmax,
-            mean_length=self.mean_length, alpha=self.alpha,
-            iterations=self.iterations, restarts=self.restarts,
-            seed=self.seed, audit=self.audit,
-            shuffle_sequences=self.shuffle_sequences)
 
     def schema(self) -> LoadSchema:
         return LoadSchema(delimiter=self.delimiter, columns=self.columns,
@@ -167,11 +149,18 @@ def limit_threads(threads: int | None) -> int | None:
     libraries (the largest, should they differ), also when no cap is
     asked for; it is None when no bundled OpenBLAS is found.
     """
+    source = "--threads"
     if threads is None:
         env = os.environ.get(THREADS_ENV)
-        threads = int(env) if env else None
+        if env:
+            source = THREADS_ENV
+            try:
+                threads = int(env)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{THREADS_ENV} must be an integer, got {env!r}") from exc
     if threads is not None and threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
     functions = _openblas_thread_functions()
     if threads is not None:
         if not functions:
@@ -209,7 +198,7 @@ def read_labels(path) -> np.ndarray:
                 continue
             try:
                 values.append(int(float(line)))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad label: {exc}") from exc
     if not values:
         raise DataFormatError(f"{path}: no labels found")
@@ -237,9 +226,9 @@ def _load_and_prepare(cfg: RunConfig) -> SequenceStore:
 
 def cmd_train(cfg: RunConfig) -> int:
     limit_threads(cfg.threads)
-    cfg.trainer_config().validate()
+    cfg.validate()
     store = _load_and_prepare(cfg)
-    result = train_with_restarts(store.sequences, cfg.trainer_config())
+    result = train_with_restarts(store.sequences, cfg)
 
     out = Path(cfg.out)
     echo = cfg.to_dict()
@@ -292,9 +281,7 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     model_cfg = RunConfig(**snap["config"])
     record = (PreprocessRecord.from_dict(snap["preprocess"])
               if snap.get("preprocess") else None)
-    schema = LoadSchema(delimiter=cfg.delimiter, columns=cfg.columns,
-                        label_column=cfg.label_column)
-    store = load_sequences(cfg.data, schema)
+    store = load_sequences(cfg.data, cfg.schema())
     if record is not None:
         store = preprocess(store, downsample=record.downsample,
                            normalize=record.normalized, record=record)
@@ -394,10 +381,8 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
                       f"(--max-gp-frames {max_gp_frames})")
                 continue
             for trial in range(trials):
-                tcfg = cfg.trainer_config()
-                tcfg.backend = backend
-                tcfg.restarts = 1
-                result = train(seqs, tcfg, seed=cfg.seed + trial)
+                result = train(seqs, replace(cfg, backend=backend, restarts=1),
+                               seed=cfg.seed + trial)
                 seconds = result.timings["total"]
                 rows.append((frames, backend, trial, seconds, result.timings))
                 print(f"bench frames={frames} backend={backend} trial={trial} "
@@ -467,73 +452,53 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=["rff", "exact-gp"], default="rff")
-    p.add_argument("--features", type=int, default=20, dest="n_features",
+    p.add_argument("--backend", choices=BACKENDS)
+    p.add_argument("--features", type=int, dest="n_features",
                    help="number of random features M")
-    p.add_argument("--lengthscale", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=10.0,
-                   help="observation noise precision")
-    p.add_argument("--psi", type=float, default=1.0,
-                   help="weight prior precision")
-    p.add_argument("--classes", type=int, default=11, dest="n_classes")
-    p.add_argument("--kmin", type=int, default=15)
-    p.add_argument("--kmax", type=int, default=30)
-    p.add_argument("--mean-length", type=float, default=20.0,
+    p.add_argument("--lengthscale", type=float)
+    p.add_argument("--beta", type=float, help="observation noise precision")
+    p.add_argument("--psi", type=float, help="weight prior precision")
+    p.add_argument("--classes", type=int, dest="n_classes")
+    p.add_argument("--kmin", type=int)
+    p.add_argument("--kmax", type=int)
+    p.add_argument("--mean-length", type=float,
                    help="Poisson mean segment length")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="transition smoothing")
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, help="transition smoothing")
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--audit", action="store_true",
                    help="cross-check incremental stats after every sweep")
     p.add_argument("--shuffle", action="store_true", dest="shuffle_sequences")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int,
                    help=f"BLAS thread cap (default: ${THREADS_ENV})")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", nargs="+", required=True,
                    help="delimited text files, one frame per row")
-    p.add_argument("--downsample", type=int, default=1,
-                   help="keep every n-th frame")
+    p.add_argument("--downsample", type=int, help="keep every n-th frame")
     p.add_argument("--no-normalize", action="store_false", dest="normalize")
-    p.add_argument("--columns", type=str, default=None,
+    p.add_argument("--columns", type=str,
                    help="comma-separated observation column indices")
-    p.add_argument("--label-column", type=int, default=None)
-    p.add_argument("--delimiter", type=str, default=None,
+    p.add_argument("--label-column", type=int)
+    p.add_argument("--delimiter", type=str,
                    help="cell delimiter (default: any whitespace)")
 
 
 def _runconfig_from_args(args) -> RunConfig:
-    columns = None
-    if args.columns:
-        columns = [int(v) for v in str(args.columns).split(",") if v != ""]
-    return RunConfig(
-        backend=getattr(args, "backend", "rff"),
-        n_features=getattr(args, "n_features", 20),
-        lengthscale=getattr(args, "lengthscale", 1.0),
-        beta=getattr(args, "beta", 10.0),
-        psi=getattr(args, "psi", 1.0),
-        n_classes=getattr(args, "n_classes", 11),
-        kmin=getattr(args, "kmin", 15),
-        kmax=getattr(args, "kmax", 30),
-        mean_length=getattr(args, "mean_length", 20.0),
-        alpha=getattr(args, "alpha", 1.0),
-        iterations=getattr(args, "iterations", 5),
-        restarts=getattr(args, "restarts", 1),
-        seed=args.seed,
-        downsample=args.downsample,
-        normalize=args.normalize,
-        columns=columns,
-        label_column=args.label_column,
-        delimiter=args.delimiter,
-        audit=getattr(args, "audit", False),
-        shuffle_sequences=getattr(args, "shuffle_sequences", False),
-        threads=getattr(args, "threads", None),
-        data=list(args.data),
-        out=args.out,
-    )
+    """The ``RunConfig`` of the flags given; the rest keep its defaults.
+
+    The verbs that build one parse with ``argument_default=SUPPRESS``,
+    so a flag left out is absent from ``args``.
+    """
+    names = {f.name for f in fields(RunConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    if "columns" in given:
+        columns = given["columns"]
+        given["columns"] = ([int(v) for v in columns.split(",") if v != ""]
+                            if columns else None)
+    return RunConfig(**given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,16 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "random-feature GP emissions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a segmentation model")
+    # RunConfig holds the defaults of the verbs that build one
+    p_train = sub.add_parser("train", help="train a segmentation model",
+                             argument_default=argparse.SUPPRESS)
     _add_data_flags(p_train)
     _add_train_flags(p_train)
     p_train.add_argument("--out", required=True, help="output directory")
 
-    p_seg = sub.add_parser("segment", help="label new data with a snapshot")
+    p_seg = sub.add_parser("segment", help="label new data with a snapshot",
+                           argument_default=argparse.SUPPRESS)
     p_seg.add_argument("--model", required=True, help="model.json path")
     _add_data_flags(p_seg)
-    p_seg.add_argument("--seed", type=int, default=0)
-    p_seg.add_argument("--threads", type=int, default=None)
+    p_seg.add_argument("--seed", type=int)
+    p_seg.add_argument("--threads", type=int)
     p_seg.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="score labels against ground truth")
@@ -560,13 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--out", default=None, help="report JSON path")
 
-    p_bench = sub.add_parser("bench", help="duplication-ladder timing harness")
+    p_bench = sub.add_parser("bench", help="duplication-ladder timing harness",
+                             argument_default=argparse.SUPPRESS)
     _add_data_flags(p_bench)
     _add_train_flags(p_bench)
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--duplications", type=str, default="1",
                          help="comma-separated duplication factors")
-    p_bench.add_argument("--backends", type=str, default="rff,exact-gp")
+    p_bench.add_argument("--backends", type=str, default=",".join(BACKENDS))
     p_bench.add_argument("--trials", type=int, default=5,
                          help="timed runs per (frames, backend) point")
     p_bench.add_argument("--max-gp-frames", type=int, default=None,
@@ -593,8 +562,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(_runconfig_from_args(args))
         if args.command == "segment":
-            cfg = _runconfig_from_args(args)
-            return cmd_segment(cfg, args.model)
+            return cmd_segment(_runconfig_from_args(args), args.model)
         if args.command == "eval":
             return cmd_eval(args.labels, args.truth, args.out)
         if args.command == "bench":
@@ -604,9 +572,11 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--duplications must list positive integers, "
                     f"got {args.duplications!r}")
+            if args.trials < 1:
+                raise ConfigError(f"--trials must be >= 1, got {args.trials}")
             backends = [b.strip() for b in args.backends.split(",") if b.strip()]
             for b in backends:
-                if b not in ("rff", "exact-gp"):
+                if b not in BACKENDS:
                     raise ConfigError(f"unknown backend {b!r} in --backends")
             return cmd_bench(cfg, dups, backends, args.trials, args.max_gp_frames)
         if args.command == "synth":

@@ -94,11 +94,6 @@ class SequenceStore:
     def total_frames(self) -> int:
         return sum(s.shape[1] for s in self.sequences)
 
-    def flat_labels(self) -> np.ndarray | None:
-        if self.labels is None:
-            return None
-        return np.concatenate(self.labels)
-
 
 def _parse_file(path, schema: LoadSchema):
     rows = []

@@ -20,7 +20,7 @@ class FeatureBank:
     """Sampled spectral frequencies and phases defining the feature map.
 
     The sampled values are immutable after construction and
-    :meth:`phi` and :meth:`kernel_approx` are pure.  The features at
+    :meth:`phi` is pure.  The features at
     within-segment positions and their prefix Grams are memoised on the
     bank, once for every class and dimension that shares it; the cached
     arrays are read-only.
@@ -84,14 +84,6 @@ class FeatureBank:
             gram.setflags(write=False)
             self._grams[length] = gram
         return gram
-
-    def kernel_approx(self, t_p: float, t_q: float) -> float:
-        """Monte Carlo kernel value ``phi(t_p) . phi(t_q)``.
-
-        Converges to the RBF kernel as n_features grows; exactly
-        symmetric in its arguments.
-        """
-        return float(self.phi(t_p) @ self.phi(t_q))
 
     def to_dict(self) -> dict:
         return {

@@ -109,18 +109,12 @@ class HsmmParams:
         lam = self.mean_length
         return k * math.log(lam) - lam - math.lgamma(k + 1)
 
-    def transition_logprob(self, c_prev: int, c: int) -> float:
-        """Log of the smoothed transition probability c_prev -> c.
+    def log_transition_matrix(self) -> np.ndarray:
+        """(C, C) log transition probabilities, rows = source class.
 
         Dirichlet-multinomial form ``(n_{c'c} + alpha) / (sum_c n_{c'c}
-        + C alpha)``; rows normalize to one exactly.
+        + C alpha)``; rows normalize to one.
         """
-        row = self.transition_counts[c_prev]
-        return math.log(row[c] + self.alpha) - math.log(
-            row.sum() + self.n_classes * self.alpha)
-
-    def log_transition_matrix(self) -> np.ndarray:
-        """(C, C) matrix of transition_logprob values, rows = source class."""
         counts = self.transition_counts.astype(np.float64)
         row_tot = counts.sum(axis=1, keepdims=True) + self.n_classes * self.alpha
         return np.log(counts + self.alpha) - np.log(row_tot)

@@ -54,6 +54,17 @@ def gaussian_logpdf(x, means, variances):
     return total
 
 
+def transition_logprob(params, c_prev, c):
+    """Scalar oracle for ``HsmmParams.log_transition_matrix()[c_prev, c]``.
+
+    Dirichlet-multinomial form ``(n_{c'c} + alpha) / (sum_c n_{c'c}
+    + C alpha)``.
+    """
+    row = params.transition_counts[c_prev]
+    return math.log(row[c] + params.alpha) - math.log(
+        row.sum() + params.n_classes * params.alpha)
+
+
 def compositions(total, kmin, kmax):
     """All orderings of lengths in [kmin, kmax] that sum to total."""
     if total == 0:
@@ -85,7 +96,7 @@ def enumerate_posterior(tables, params, n_frames):
                 if prev is None:
                     lw += -math.log(n_classes)
                 else:
-                    lw += params.transition_logprob(prev, c)
+                    lw += transition_logprob(params, prev, c)
                 prev = c
                 start += k
             outcomes[(lengths, labels)] = lw

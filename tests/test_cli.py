@@ -1,13 +1,26 @@
 """Command-line surface: artifacts, validation, and the bench harness."""
 
+import argparse
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rffseg.cli import THREADS_ENV, _openblas_thread_functions, limit_threads, main, read_labels
+from rffseg.cli import (
+    THREADS_ENV,
+    RunConfig,
+    _openblas_thread_functions,
+    _runconfig_from_args,
+    build_parser,
+    limit_threads,
+    main,
+    read_labels,
+)
+from rffseg.data import DataFormatError
 from rffseg.features import FeatureBank
+from rffseg.trainer import BACKENDS, ConfigError, TrainerConfig
 
 
 def run(argv):
@@ -28,6 +41,47 @@ def synth_corpus(tmp_path, n_sequences=4, frames=80, seed=42):
 TRAIN_FLAGS = ["--label-column", 2, "--classes", 3, "--kmin", 8,
                "--kmax", 22, "--mean-length", 14, "--iterations", 3,
                "--seed", 0]
+
+
+# the flat config echo of model.json, labels.txt, spans.json and result.json
+ECHO_KEYS = [
+    "alpha", "audit", "backend", "beta", "columns", "data", "delimiter",
+    "downsample", "iterations", "kmax", "kmin", "label_column", "lengthscale",
+    "mean_length", "n_classes", "n_features", "normalize", "out", "psi",
+    "restarts", "seed", "shuffle_sequences", "threads",
+]
+
+
+def verb_parser(verb):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[verb]
+
+
+class TestRunConfig:
+    def test_model_fields_are_trainer_config_defaults(self):
+        assert issubclass(RunConfig, TrainerConfig)
+        cfg = RunConfig()
+        assert {f.name: getattr(cfg, f.name) for f in fields(TrainerConfig)} == \
+            asdict(TrainerConfig(n_classes=11))
+
+    def test_flags_left_out_keep_the_defaults(self):
+        args = build_parser().parse_args(["train", "--data", "x", "--out", "y"])
+        assert _runconfig_from_args(args) == RunConfig(data=["x"], out="y")
+
+    @pytest.mark.parametrize("verb", ["train", "bench"])
+    def test_backend_choices_are_the_trainer_backends(self, verb):
+        backend = next(a for a in verb_parser(verb)._actions if a.dest == "backend")
+        assert tuple(backend.choices) == BACKENDS
+
+    def test_model_json_echo_keys(self, tmp_path):
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        out = tmp_path / "run"
+        assert run(["train", "--data", *files, "--out", out, *TRAIN_FLAGS,
+                    "--iterations", 1]) == 0
+        snap = json.loads((out / "model.json").read_text())
+        assert sorted(snap["config"]) == ECHO_KEYS
 
 
 class TestSynth:
@@ -234,6 +288,15 @@ class TestEval:
         assert run(["eval", "--labels", a, "--truth", b]) == 2
         assert "length" in capsys.readouterr().err
 
+    def test_infinite_label_names_the_line(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("# rffseg labels\n0\ninf\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_labels(a)
+        assert str(exc.value).startswith(f"{a}:3: bad label")
+        assert run(["eval", "--labels", a, "--truth", a]) == 2
+        assert f"{a}:3" in capsys.readouterr().err
+
 
 class TestThreads:
     def test_cap_is_read_back_from_both_libraries(self, monkeypatch):
@@ -274,6 +337,12 @@ class TestThreads:
         assert run(["bench", "--data", *files, "--out", tmp_path / "b",
                     "--label-column", 2, "--classes", 2, "--threads", 0]) == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_environment_errors_name_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv(THREADS_ENV, value)
+        with pytest.raises(ConfigError, match=THREADS_ENV):
+            limit_threads(None)
 
 
 class TestBench:
@@ -322,3 +391,11 @@ class TestBench:
         assert run(["bench", "--data", *files, "--out", tmp_path / "b",
                     "--classes", 2, "--duplications", "0,2"]) == 2
         assert "duplications" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_non_positive_trials(self, tmp_path, capsys, trials):
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        assert run(["bench", "--data", *files, "--out", tmp_path / "b",
+                    "--classes", 2, "--trials", trials]) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()

@@ -78,24 +78,24 @@ def test_kernel_symmetry_is_exact():
     bank = sample_feature_bank(64, 1.0, seed=11)
     rng = np.random.default_rng(1)
     for a, b in rng.normal(0, 10, size=(25, 2)):
-        assert bank.kernel_approx(a, b) == bank.kernel_approx(b, a)
+        assert bank.phi(a) @ bank.phi(b) == bank.phi(b) @ bank.phi(a)
 
 
 def test_zero_frequency_bank_is_constant_in_inputs():
     bank = FeatureBank(n_features=3, lengthscale=1.0, seed=0,
                        omegas=np.zeros(3),
                        phases=np.array([0.1, 2.0, 4.0]))
-    ref = bank.kernel_approx(0.0, 0.0)
+    ref = bank.phi(0.0) @ bank.phi(0.0)
     for a, b in [(1.0, 5.0), (-3.0, 2.0), (100.0, -7.0)]:
-        assert bank.kernel_approx(a, b) == pytest.approx(ref, abs=1e-12)
+        assert bank.phi(a) @ bank.phi(b) == pytest.approx(ref, abs=1e-12)
 
 
 def test_kernel_approaches_rbf_with_many_features():
     # |k_hat(0, 1) - exp(-1/2)| small at M = 2000 for a fixed seed
     bank = sample_feature_bank(2000, 1.0, seed=21)
     exact = np.exp(-0.5)
-    assert abs(bank.kernel_approx(0.0, 1.0) - exact) < 0.05
-    assert bank.kernel_approx(3.0, 3.0) == pytest.approx(1.0, abs=0.05)
+    assert abs(bank.phi(0.0) @ bank.phi(1.0) - exact) < 0.05
+    assert bank.phi(3.0) @ bank.phi(3.0) == pytest.approx(1.0, abs=0.05)
 
 
 def _mean_max_error(n_features, seeds, t_p, t_q, exact):

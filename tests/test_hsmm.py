@@ -59,27 +59,25 @@ class TestTransition:
     def test_symmetric_prior_is_uniform(self):
         params = HsmmParams(n_classes=10, kmin=1, kmax=3, mean_length=2.0,
                             alpha=1.0)
-        for a in range(10):
-            for b in range(10):
-                assert math.exp(params.transition_logprob(a, b)) == \
-                    pytest.approx(0.1, rel=1e-12)
+        np.testing.assert_allclose(np.exp(params.log_transition_matrix()), 0.1,
+                                   rtol=1e-12)
 
     def test_counted_transitions(self):
         counts = np.zeros((10, 10), dtype=np.int64)
         counts[0, 1] = 9  # all nine observed transitions from 0 go to 1
         params = HsmmParams(n_classes=10, kmin=1, kmax=3, mean_length=2.0,
                             alpha=1.0, transition_counts=counts)
-        assert math.exp(params.transition_logprob(0, 1)) == pytest.approx(
+        assert math.exp(params.log_transition_matrix()[0, 1]) == pytest.approx(
             10.0 / 19.0, rel=1e-12)
 
     def test_extra_count_strictly_increases_probability(self):
         counts = np.zeros((3, 3), dtype=np.int64)
         counts[1] = [2, 5, 1]
         before = HsmmParams(n_classes=3, kmin=1, kmax=3, mean_length=2.0,
-                            transition_counts=counts.copy()).transition_logprob(1, 0)
+                            transition_counts=counts.copy()).log_transition_matrix()[1, 0]
         counts[1, 0] += 1
         after = HsmmParams(n_classes=3, kmin=1, kmax=3, mean_length=2.0,
-                           transition_counts=counts).transition_logprob(1, 0)
+                           transition_counts=counts).log_transition_matrix()[1, 0]
         assert after > before
 
     def test_rows_normalize_exactly(self):
