@@ -51,6 +51,9 @@ SNAPSHOT_VERSION = 2
 
 THREADS_ENV = "RFFSEG_THREADS"
 
+# the settings that shape a ``segment`` run; the model's come from its snapshot
+SEGMENT_FIELDS = ("data", "columns", "label_column", "delimiter", "seed", "threads", "out")
+
 # The OpenBLAS copies bundled in numpy's and scipy's wheels: the package
 # whose site directory holds the library, a glob for the library there,
 # and the suffix of its exported thread-count functions.
@@ -256,9 +259,9 @@ def cmd_train(cfg: RunConfig) -> int:
         "build": build,
         "n_sequences": len(store.sequences),
         "frames": store.total_frames,
-        "restart_seeds": result.restart_seeds or [cfg.seed],
-        "restart_final_logliks": result.restart_logliks or [result.final_loglik],
-        "best_seed": result.state.rng_seed,
+        "restart_seeds": result.restart_seeds,
+        "restart_final_logliks": result.restart_logliks,
+        "best_seed": result.state.config.seed,
         "final_loglik": result.final_loglik,
         "timings": result.timings,
         "artifacts": ["model.json", "labels.txt", "spans.json", "loglik.csv"],
@@ -278,7 +281,7 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
         raise DataFormatError(
             f"{model_path}: snapshot format_version {version!r} is not "
             f"supported (this build reads version {SNAPSHOT_VERSION})")
-    model_cfg = RunConfig(**snap["config"])
+    model_cfg = snap["config"]
     record = (PreprocessRecord.from_dict(snap["preprocess"])
               if snap.get("preprocess") else None)
     store = load_sequences(cfg.data, cfg.schema())
@@ -287,8 +290,8 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
                            normalize=record.normalized, record=record)
     n_dims = store.n_dims
     bank, emissions = emissions_from_snapshot(
-        snap["model"], n_dims, model_cfg.beta, model_cfg.psi,
-        model_cfg.lengthscale)
+        snap["model"], n_dims, model_cfg["beta"], model_cfg["psi"],
+        model_cfg["lengthscale"])
     hsmm = hsmm_from_snapshot(snap["model"])
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     emitters = emissions.emitters()
@@ -300,7 +303,8 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
         labels.append(labels_from_spans(segs, seq.shape[1]))
 
     out = Path(cfg.out)
-    echo = {"segment_config": cfg.to_dict(), "model_config": snap["config"]}
+    echo = {"segment_config": {name: getattr(cfg, name) for name in SEGMENT_FIELDS},
+            "model_config": model_cfg}
     build = build_info()
     _write_labels(out / "labels.txt", labels, {"config": echo, "build": build})
     _write_json(out / "spans.json", {
@@ -381,8 +385,8 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
                       f"(--max-gp-frames {max_gp_frames})")
                 continue
             for trial in range(trials):
-                result = train(seqs, replace(cfg, backend=backend, restarts=1),
-                               seed=cfg.seed + trial)
+                result = train(seqs, replace(cfg, backend=backend, restarts=1,
+                                             seed=cfg.seed + trial))
                 seconds = result.timings["total"]
                 rows.append((frames, backend, trial, seconds, result.timings))
                 print(f"bench frames={frames} backend={backend} trial={trial} "
@@ -452,6 +456,8 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--downsample", type=int, help="keep every n-th frame")
+    p.add_argument("--no-normalize", action="store_false", dest="normalize")
     p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--features", type=int, dest="n_features",
                    help="number of random features M")
@@ -477,8 +483,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", nargs="+", required=True,
                    help="delimited text files, one frame per row")
-    p.add_argument("--downsample", type=int, help="keep every n-th frame")
-    p.add_argument("--no-normalize", action="store_false", dest="normalize")
     p.add_argument("--columns", type=str,
                    help="comma-separated observation column indices")
     p.add_argument("--label-column", type=int)
@@ -495,9 +499,14 @@ def _runconfig_from_args(args) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     given = {k: v for k, v in vars(args).items() if k in names}
     if "columns" in given:
-        columns = given["columns"]
-        given["columns"] = ([int(v) for v in columns.split(",") if v != ""]
-                            if columns else None)
+        text = given["columns"]
+        try:
+            columns = [int(v) for v in text.split(",") if v != ""]
+        except ValueError:
+            columns = []
+        if not columns:
+            raise ConfigError(f"--columns must list column indices, got {text!r}")
+        given["columns"] = columns
     return RunConfig(**given)
 
 

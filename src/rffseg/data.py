@@ -41,13 +41,13 @@ class LoadSchema:
 
     ``delimiter=None`` splits on any whitespace.  ``columns`` selects
     the observation columns (default: all except the label column);
-    ``label_column`` optionally attaches per-frame ground truth.
+    ``label_column`` optionally attaches per-frame ground truth.  Lines
+    starting with ``#`` are comments.
     """
 
     delimiter: str | None = None
     columns: list[int] | None = None
     label_column: int | None = None
-    comment: str = "#"
 
 
 @dataclass
@@ -102,7 +102,7 @@ def _parse_file(path, schema: LoadSchema):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or (schema.comment and line.startswith(schema.comment)):
+            if not line or line.startswith("#"):
                 continue
             cells = line.split(schema.delimiter)
             if schema.columns is None:
@@ -138,13 +138,23 @@ def _parse_file(path, schema: LoadSchema):
 
 
 def load_sequences(paths, schema: LoadSchema | None = None) -> SequenceStore:
-    """Load delimited files, one sequence each, in path order."""
+    """Load delimited files, one sequence each, in path order.
+
+    A repeated path is parsed once and shares its arrays, made read-only.
+    """
     schema = schema or LoadSchema()
+    parsed = {}
     sequences, names, labels = [], [], []
     for path in paths:
-        seq, lab = _parse_file(path, schema)
+        name = str(path)
+        if name not in parsed:
+            parsed[name] = _parse_file(path, schema)
+            for arr in parsed[name]:
+                if arr is not None:
+                    arr.flags.writeable = False
+        seq, lab = parsed[name]
         sequences.append(seq)
-        names.append(str(path))
+        names.append(name)
         labels.append(lab)
     if sequences and len({s.shape[0] for s in sequences}) > 1:
         raise DataFormatError(
@@ -237,7 +247,6 @@ class SyntheticSpec:
     seq_length: int = 200
     block_min: int = 15
     block_max: int = 25
-    transition: np.ndarray | None = None
     seq_lengths: list | None = None  # per-sequence override of seq_length
 
     def lengths(self) -> list[int]:
@@ -258,33 +267,19 @@ class SyntheticSpec:
                 len(self.seq_lengths) != self.n_sequences
                 or any(v < 1 for v in self.seq_lengths)):
             raise ValueError("seq_lengths must list one positive length per sequence")
-        if self.transition is not None:
-            t = np.asarray(self.transition, dtype=np.float64)
-            p = len(self.patterns)
-            if t.shape != (p, p) or (t < 0).any():
-                raise ValueError(f"transition must be nonnegative ({p}, {p})")
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SequenceStore:
     """Stitch labeled sequences from the recipe's templates, reproducibly."""
     spec.validate()
     rng = np.random.default_rng(seed)
-    n_pat = len(spec.patterns)
-    trans = None
-    if spec.transition is not None:
-        trans = np.asarray(spec.transition, dtype=np.float64)
-        trans = trans / trans.sum(axis=1, keepdims=True)
     sequences, labels, names = [], [], []
     for i, total in enumerate(spec.lengths()):
         frames = np.zeros((spec.n_dims, total))
         truth = np.zeros(total, dtype=np.int64)
         pos = 0
-        current = None
         while pos < total:
-            if current is None or trans is None:
-                nxt = int(rng.integers(0, n_pat))
-            else:
-                nxt = int(rng.choice(n_pat, p=trans[current]))
+            nxt = int(rng.integers(0, len(spec.patterns)))
             length = int(rng.integers(spec.block_min, spec.block_max + 1))
             length = min(length, total - pos)
             pat = spec.patterns[nxt]
@@ -294,7 +289,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SequenceStore:
             frames[:, pos:pos + length] = block
             truth[pos:pos + length] = nxt
             pos += length
-            current = nxt
         sequences.append(frames)
         labels.append(truth)
         names.append(f"synthetic-{i:03d}")

@@ -10,7 +10,7 @@ backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -266,15 +266,9 @@ class TrainerState:
     hsmm: HsmmParams
     emissions: object
     assignments: list
-    iteration: int = 0
     loglik_trace: list = field(default_factory=list)
-    rng_seed: int = 0
     rng: np.random.Generator = None
     timer: PhaseTimer = field(default_factory=PhaseTimer)
-
-    @property
-    def class_models(self):
-        return self.emissions.class_models
 
     def audit(self) -> None:
         """Cross-check incremental state against batch recomputation."""
@@ -303,7 +297,6 @@ class SegmentationResult:
     spans: list
     loglik_trace: list
     timings: dict
-    config: TrainerConfig
     state: TrainerState = field(repr=False, default=None)
     restart_logliks: list = None
     restart_seeds: list = None
@@ -333,7 +326,7 @@ def _random_spans(n_frames: int, kmin: int, kmax: int,
     return spans
 
 
-def initialize(sequences, config: TrainerConfig, seed: int | None = None) -> TrainerState:
+def initialize(sequences, config: TrainerConfig) -> TrainerState:
     """Randomly segment all sequences and build the initial statistics."""
     config.validate()
     sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
@@ -352,12 +345,10 @@ def initialize(sequences, config: TrainerConfig, seed: int | None = None) -> Tra
             f"sequences {bad} cannot be tiled with lengths in "
             f"[{config.kmin}, {config.kmax}]")
 
-    if seed is None:
-        seed = config.seed
     # everything that builds the chain's starting state is timed as stats
     timer = PhaseTimer()
     with timer.phase("stats"):
-        ss = np.random.SeedSequence(seed)
+        ss = np.random.SeedSequence(config.seed)
         bank_ss, gibbs_ss = ss.spawn(2)
         bank_seed = int(bank_ss.generate_state(1, dtype=np.uint64)[0])
         bank = sample_feature_bank(config.n_features, config.lengthscale, bank_seed)
@@ -375,7 +366,7 @@ def initialize(sequences, config: TrainerConfig, seed: int | None = None) -> Tra
 
         state = TrainerState(config=config, sequences=sequences, bank=bank,
                              hsmm=hsmm, emissions=emissions, assignments=[],
-                             rng_seed=seed, rng=rng, timer=timer)
+                             rng=rng, timer=timer)
         for seq_idx, seq in enumerate(sequences):
             spans = _random_spans(seq.shape[1], config.kmin, config.kmax, rng)
             labels = rng.integers(0, config.n_classes, size=len(spans))
@@ -418,7 +409,6 @@ def gibbs_sweep(state: TrainerState) -> TrainerState:
             state.hsmm.absorb_labels([seg.label for seg in new])
         state.assignments[seq_idx] = new
         sweep_loglik += lattice.total_loglik
-    state.iteration += 1
     state.loglik_trace.append(sweep_loglik)
     if config.audit:
         state.audit()
@@ -433,11 +423,10 @@ def labels_from_spans(spans, n_frames: int) -> np.ndarray:
     return labels
 
 
-def train(sequences, config: TrainerConfig,
-          seed: int | None = None) -> SegmentationResult:
+def train(sequences, config: TrainerConfig) -> SegmentationResult:
     """Run ``config.iterations`` sweeps and package the outcome."""
     t_start = time.perf_counter()
-    state = initialize(sequences, config, seed=seed)
+    state = initialize(sequences, config)
     for _ in range(config.iterations):
         gibbs_sweep(state)
     total = time.perf_counter() - t_start
@@ -448,7 +437,7 @@ def train(sequences, config: TrainerConfig,
               for segs, seq in zip(state.assignments, state.sequences)]
     return SegmentationResult(labels=labels, spans=state.assignments,
                               loglik_trace=list(state.loglik_trace),
-                              timings=timings, config=config, state=state)
+                              timings=timings, state=state)
 
 
 def train_with_restarts(sequences, config: TrainerConfig) -> SegmentationResult:
@@ -461,7 +450,7 @@ def train_with_restarts(sequences, config: TrainerConfig) -> SegmentationResult:
     finals = []
     seeds = [config.seed + r for r in range(config.restarts)]
     for restart_seed in seeds:
-        result = train(sequences, config, seed=restart_seed)
+        result = train(sequences, replace(config, seed=restart_seed))
         finals.append(result.final_loglik)
         if best is None or result.final_loglik > best.final_loglik:
             best = result
@@ -514,8 +503,10 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
                             lengthscale: float):
     """Rebuild an emission backend (and bank) from a snapshot dict.
 
-    Raises ``ValueError`` when the snapshot was trained on a different
-    number of dimensions than ``n_dims``.
+    An exact-gp class is split back into its segments wherever a run of
+    positions restarts at 1.  Raises ``ValueError`` when the snapshot was
+    trained on a different number of dimensions than ``n_dims``, or when
+    a class's positions are not such runs.
     """
     if int(snap["n_dims"]) != n_dims:
         raise ValueError(
@@ -532,10 +523,15 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
             model.dirty = True
     else:
         emissions = ExactGpEmissions(len(snap["classes"]), n_dims, beta, lengthscale)
-        for entry, data in zip(snap["classes"], emissions.class_models):
-            data.set_points(np.asarray(entry["taus"], dtype=np.float64),
-                            np.asarray(entry["values"], dtype=np.float64))
-        emissions._dirty = [False] * len(snap["classes"])
+        for c, entry in enumerate(snap["classes"]):
+            taus = np.asarray(entry["taus"], dtype=np.float64)
+            values = np.asarray(entry["values"], dtype=np.float64)
+            for i, block in enumerate(np.split(values, np.flatnonzero(taus == 1.0))[1:]):
+                emissions.add(c, i, block.T)
+            emissions.refresh()
+            if not np.array_equal(emissions.class_models[c].taus, taus):
+                raise ValueError(
+                    f"snapshot class {c}: taus are not runs of positions 1..length")
     return bank, emissions
 
 

@@ -70,6 +70,14 @@ class TestRunConfig:
         args = build_parser().parse_args(["train", "--data", "x", "--out", "y"])
         assert _runconfig_from_args(args) == RunConfig(data=["x"], out="y")
 
+    @pytest.mark.parametrize("columns", [",", "a", "0,b"])
+    def test_bad_column_list_names_the_flag(self, tmp_path, capsys, columns):
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        assert run(["train", "--data", *files, "--out", tmp_path / "run",
+                    "--columns", columns, *TRAIN_FLAGS]) == 2
+        assert "--columns" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("verb", ["train", "bench"])
     def test_backend_choices_are_the_trainer_backends(self, verb):
         backend = next(a for a in verb_parser(verb)._actions if a.dest == "backend")
@@ -183,12 +191,24 @@ class TestSegment:
                     "--seed", 5, "--out", seg_dir]) == 0
         labels = read_labels(seg_dir / "labels.txt")
         assert labels.size == 80
+        echo = json.loads((seg_dir / "spans.json").read_text())["config"]
+        assert sorted(echo["segment_config"]) == [
+            "columns", "data", "delimiter", "label_column", "out", "seed", "threads"]
         # deterministic given the seed
         seg2 = tmp_path / "seg2"
         assert run(["segment", "--model", run_dir / "model.json",
                     "--data", files[0], "--label-column", 2,
                     "--seed", 5, "--out", seg2]) == 0
         assert np.array_equal(labels, read_labels(seg2 / "labels.txt"))
+
+    @pytest.mark.parametrize("flag", [["--downsample", "3"], ["--no-normalize"]])
+    def test_preprocessing_flags_are_a_usage_error(self, capsys, flag):
+        # the snapshot's preprocessing record decides how new data is prepared
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["segment", "--model", "m.json", "--data", "x",
+                                       "--out", "y", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_exact_gp_snapshot_round_trips(self, tmp_path):
         data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rffseg.data as data_module
 from rffseg.data import (
     DataFormatError,
     LoadSchema,
@@ -82,6 +83,23 @@ class TestLoader:
         store = load_sequences([b, a])
         assert store.names == [str(b), str(a)]
         assert store.sequences[0].shape == (1, 1)
+
+    def test_repeated_path_is_parsed_once(self, tmp_path, monkeypatch):
+        text = "1 2 0\n3 4 1\n5 6 1\n"
+        a, b, c = (write(tmp_path / f"{n}.txt", text) for n in "abc")
+        schema = LoadSchema(label_column=2)
+        calls = []
+        parse = data_module._parse_file
+        monkeypatch.setattr(data_module, "_parse_file",
+                            lambda path, schema: calls.append(path) or parse(path, schema))
+        store = load_sequences([a, a, a], schema)
+        assert calls == [a]
+        assert store.names == [str(a)] * 3
+        copies = load_sequences([a, b, c], schema)
+        for got, want in zip(store.sequences + store.labels,
+                             copies.sequences + copies.labels):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
     def test_csv_delimiter(self, tmp_path):
         path = write(tmp_path / "seq.csv", "1,2\n3,4\n")

@@ -8,6 +8,7 @@ import pytest
 from rffseg.data import PatternSpec, SyntheticSpec, evaluate_nhd, generate_synthetic
 from rffseg.hsmm import InfeasibleSequenceError
 from rffseg.trainer import (
+    BACKENDS,
     ConfigError,
     TrainerConfig,
     emissions_from_snapshot,
@@ -110,7 +111,7 @@ class TestSweep:
         state = initialize(store.sequences, config)
         snapshot = [
             (st.precision.copy(), st.proj.copy())
-            for m in state.class_models for st in m.stats
+            for m in state.emissions.class_models for st in m.stats
         ]
         trans = state.hsmm.transition_counts.copy()
         seq_idx, seq = 1, state.sequences[1]
@@ -125,7 +126,7 @@ class TestSweep:
         state.hsmm.absorb_labels([s.label for s in segs])
         flat = [
             (st.precision, st.proj)
-            for m in state.class_models for st in m.stats
+            for m in state.emissions.class_models for st in m.stats
         ]
         for (p0, b0), (p1, b1) in zip(snapshot, flat):
             assert np.max(np.abs(p0 - p1)) < 1e-6
@@ -175,6 +176,8 @@ class TestTrain:
         assert len(best.restart_logliks) == 3
         assert best.final_loglik == max(best.restart_logliks)
         assert best.restart_seeds == [11, 12, 13]
+        winner = best.restart_logliks.index(best.final_loglik)
+        assert best.state.config.seed == best.restart_seeds[winner]
 
     def test_timing_phases_account_for_wall_clock(self):
         store = small_store(n_sequences=6, seq_length=150)
@@ -221,27 +224,40 @@ class TestBackendSwap:
 
 
 class TestSnapshot:
-    def test_round_trip_gives_the_same_emission_tables(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_round_trip_gives_the_same_emission_tables(self, backend):
         store = small_store()
-        config = small_config()
+        config = small_config(backend=backend)
         state = train(store.sequences, config).state
         snap = json.loads(json.dumps(snapshot_dict(state)))
         assert snap["n_dims"] == 2
-        assert np.shape(snap["classes"][0]["precision"]) == (20, 20)
-        assert np.shape(snap["classes"][0]["proj"]) == (2, 20)
+        if backend == "rff":
+            assert np.shape(snap["classes"][0]["precision"]) == (20, 20)
+            assert np.shape(snap["classes"][0]["proj"]) == (2, 20)
         bank, emissions = emissions_from_snapshot(
             snap, 2, config.beta, config.psi, config.lengthscale)
         seq = store.sequences[0]
-        for have, want in zip(emissions.emitters(), state.emissions.emitters()):
-            np.testing.assert_array_equal(have.log_emission_table(seq, config.kmax),
-                                          want.log_emission_table(seq, config.kmax))
-            assert have.model.n_points == want.model.n_points
+
+        def assert_same_tables():
+            for have, want in zip(emissions.emitters(), state.emissions.emitters()):
+                np.testing.assert_array_equal(have.log_emission_table(seq, config.kmax),
+                                              want.log_emission_table(seq, config.kmax))
+            for have, want in zip(emissions.class_models, state.emissions.class_models):
+                assert have.n_points == want.n_points
+
+        assert_same_tables()
         # the rebuilt statistics keep absorbing segments like the originals
         for emitted in (emissions, state.emissions):
             emitted.add(0, None, seq[:, :config.kmin])
-        np.testing.assert_array_equal(
-            emissions.emitters()[0].log_emission_table(seq, config.kmax),
-            state.emissions.emitters()[0].log_emission_table(seq, config.kmax))
+            emitted.refresh()
+        assert_same_tables()
+
+    def test_positions_not_in_runs_from_1_are_refused(self):
+        state = initialize(small_store().sequences, small_config(backend="exact-gp"))
+        snap = snapshot_dict(state)
+        snap["classes"][0]["taus"][0] = 2.0
+        with pytest.raises(ValueError, match="class 0: taus are not runs"):
+            emissions_from_snapshot(snap, 2, 10.0, 1.0, 1.0)
 
     def test_dimension_count_mismatch_names_both(self):
         store = small_store()
