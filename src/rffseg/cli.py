@@ -281,18 +281,24 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
         raise DataFormatError(
             f"{model_path}: snapshot format_version {version!r} is not "
             f"supported (this build reads version {SNAPSHOT_VERSION})")
-    model_cfg = snap["config"]
-    record = (PreprocessRecord.from_dict(snap["preprocess"])
-              if snap.get("preprocess") else None)
     store = load_sequences(cfg.data, cfg.schema())
-    if record is not None:
-        store = preprocess(store, downsample=record.downsample,
-                           normalize=record.normalized, record=record)
-    n_dims = store.n_dims
-    bank, emissions = emissions_from_snapshot(
-        snap["model"], n_dims, model_cfg["beta"], model_cfg["psi"],
-        model_cfg["lengthscale"])
-    hsmm = hsmm_from_snapshot(snap["model"])
+    try:
+        model_cfg = snap["config"]
+        if snap.get("preprocess"):
+            record = PreprocessRecord.from_dict(snap["preprocess"])
+            store = preprocess(store, downsample=record.downsample,
+                               normalize=record.normalized, record=record)
+        _, emissions = emissions_from_snapshot(
+            snap["model"], store.n_dims, model_cfg["beta"], model_cfg["psi"],
+            model_cfg["lengthscale"])
+        hsmm = hsmm_from_snapshot(snap["model"])
+        if len(snap["model"]["classes"]) != hsmm.n_classes:
+            raise ValueError(f"snapshot stores {len(snap['model']['classes'])} "
+                             f"classes, its hsmm has {hsmm.n_classes}")
+    except KeyError as exc:
+        raise DataFormatError(f"{model_path}: snapshot has no key {exc}") from exc
+    except ValueError as exc:
+        raise DataFormatError(f"{model_path}: {exc}") from exc
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     emitters = emissions.emitters()
     labels, spans = [], []
@@ -374,7 +380,8 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []  # (frames, backend, trial, seconds, phases)
+    points = []
+    means = {}  # (frames, backend) -> mean seconds
     for dup in duplications:
         seqs = [s for _ in range(dup) for s in base]
         frames = base_frames * dup
@@ -384,48 +391,36 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
                 print(f"skipping exact-gp at {frames} frames "
                       f"(--max-gp-frames {max_gp_frames})")
                 continue
+            timings = []
             for trial in range(trials):
                 result = train(seqs, replace(cfg, backend=backend, restarts=1,
                                              seed=cfg.seed + trial))
-                seconds = result.timings["total"]
-                rows.append((frames, backend, trial, seconds, result.timings))
+                timings.append(result.timings)
                 print(f"bench frames={frames} backend={backend} trial={trial} "
-                      f"seconds={seconds:.3f}", flush=True)
-
-    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
-        fh.write("frames,backend,trial,seconds\n")
-        for frames, backend, trial, seconds, _ in rows:
-            fh.write(f"{frames},{backend},{trial},{seconds!r}\n")
-
-    points = []
-    for dup in duplications:
-        frames = base_frames * dup
-        for backend in backends:
-            trials_here = [r for r in rows if r[0] == frames and r[1] == backend]
-            if not trials_here:
-                continue
-            secs = [r[3] for r in trials_here]
-            phases = {}
-            for key in trials_here[0][4]:
-                phases[key] = float(np.mean([r[4][key] for r in trials_here]))
+                      f"seconds={result.timings['total']:.3f}", flush=True)
+            secs = [t["total"] for t in timings]
+            means[frames, backend] = float(np.mean(secs))
             points.append({
                 "frames": frames,
                 "backend": backend,
                 "trial_count": len(secs),
                 "trial_seconds": secs,
-                "mean_seconds": float(np.mean(secs)),
-                "phase_means": phases,
+                "mean_seconds": means[frames, backend],
+                "phase_means": {key: float(np.mean([t[key] for t in timings]))
+                                for key in timings[0]},
             })
+
+    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
+        fh.write("frames,backend,trial,seconds\n")
+        for p in points:
+            for trial, seconds in enumerate(p["trial_seconds"]):
+                fh.write(f"{p['frames']},{p['backend']},{trial},{seconds!r}\n")
+
     speedups = []
-    for dup in duplications:
-        frames = base_frames * dup
-        gp = next((p for p in points
-                   if p["frames"] == frames and p["backend"] == "exact-gp"), None)
-        rff = next((p for p in points
-                    if p["frames"] == frames and p["backend"] == "rff"), None)
-        if gp and rff:
+    for frames in (base_frames * dup for dup in duplications):
+        if (frames, "exact-gp") in means and (frames, "rff") in means:
             speedups.append({"frames": frames,
-                             "ratio": gp["mean_seconds"] / rff["mean_seconds"]})
+                             "ratio": means[frames, "exact-gp"] / means[frames, "rff"]})
     report = {
         "config": cfg.to_dict(),
         "build": build_info(),
@@ -577,9 +572,9 @@ def main(argv=None) -> int:
         if args.command == "bench":
             cfg = _runconfig_from_args(args)
             dups = [int(v) for v in args.duplications.split(",") if v != ""]
-            if not dups or any(d < 1 for d in dups):
+            if not dups or any(d < 1 for d in dups) or len(set(dups)) < len(dups):
                 raise ConfigError(
-                    f"--duplications must list positive integers, "
+                    f"--duplications must list distinct positive integers, "
                     f"got {args.duplications!r}")
             if args.trials < 1:
                 raise ConfigError(f"--trials must be >= 1, got {args.trials}")

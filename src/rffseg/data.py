@@ -333,17 +333,6 @@ def bench_base_spec() -> SyntheticSpec:
                          block_min=15, block_max=30)
 
 
-def _confusion(predicted: np.ndarray, truth: np.ndarray):
-    pred_ids = np.unique(predicted)
-    truth_ids = np.unique(truth)
-    table = np.zeros((pred_ids.size, truth_ids.size), dtype=np.int64)
-    pi = {c: i for i, c in enumerate(pred_ids)}
-    ti = {c: i for i, c in enumerate(truth_ids)}
-    for p, t in zip(predicted, truth):
-        table[pi[p], ti[t]] += 1
-    return table, pred_ids, truth_ids
-
-
 @dataclass
 class EvalReport:
     """Normalized Hamming distance under the best class alignment."""
@@ -381,7 +370,10 @@ def evaluate_nhd(predicted, truth) -> EvalReport:
             f"label arrays differ in length: {predicted.shape[0]} vs {truth.shape[0]}")
     if predicted.size == 0:
         raise ValueError("cannot evaluate empty label arrays")
-    table, pred_ids, truth_ids = _confusion(predicted, truth)
+    pred_ids, pred_index = np.unique(predicted, return_inverse=True)
+    truth_ids, truth_index = np.unique(truth, return_inverse=True)
+    table = np.zeros((pred_ids.size, truth_ids.size), dtype=np.int64)
+    np.add.at(table, (pred_index, truth_index), 1)
     side = max(table.shape)
     padded = np.zeros((side, side), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table

@@ -32,7 +32,9 @@ class GpClassData:
     """Pooled training points and Gram-inverse cache for one class.
 
     ``kernel`` may be any callable ``(a_vec, b_vec) -> matrix``; the
-    default is the RBF kernel with the given lengthscale.  Single
+    default is the RBF kernel with the given lengthscale.  Both queries
+    run one predictive formula, a mean per dimension and one shared
+    variance, which is the prior when the class is empty.  Single
     writer; read-only queries are safe once the cache is fresh.
     """
 
@@ -81,9 +83,14 @@ class GpClassData:
         self._kinv = cho_solve(cf, np.eye(n), check_finite=False)
         self._kinv_x = self._kinv @ self.values
 
-    def gram_inverse(self) -> np.ndarray:
+    def _predict(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # means (n, D) and the variance (n,) shared by every dimension
         self.refresh()
-        return self._kinv
+        kq = self.kernel(self.taus, taus)  # (N, n)
+        prior = np.diag(self.kernel(taus, taus))
+        means = kq.T @ self._kinv_x
+        variances = prior + 1.0 / self.beta - np.sum(kq * (self._kinv @ kq), axis=0)
+        return means, variances
 
     def gp_predictive(self, tau) -> tuple[np.ndarray, float]:
         """Predictive mean vector and (dimension-shared) variance at ``tau``.
@@ -91,15 +98,8 @@ class GpClassData:
         The variance includes the beta^-1 observation noise so that the
         density is of the observation, not the latent function.
         """
-        self.refresh()
-        tau = float(tau)
-        prior_var = float(self.kernel(np.array([tau]), np.array([tau]))[0, 0])
-        if self.n_points == 0:
-            return np.zeros(self.n_dims), prior_var + 1.0 / self.beta
-        kvec = self.kernel(self.taus, np.array([tau]))[:, 0]
-        mean = kvec @ self._kinv_x
-        var = prior_var + 1.0 / self.beta - float(kvec @ self._kinv @ kvec)
-        return mean, var
+        means, variances = self._predict(np.array([float(tau)]))
+        return means[0], float(variances[0])
 
     def log_emission_table(self, seq: np.ndarray, kmax: int) -> np.ndarray:
         """Frame log densities for within-segment positions 1..kmax.
@@ -108,14 +108,5 @@ class GpClassData:
         ``[j, t]`` scores frame ``t`` of the (n_dims, T) sequence at
         position ``j + 1``.
         """
-        self.refresh()
-        taus_q = np.arange(1, kmax + 1, dtype=np.float64)
-        prior = np.diag(self.kernel(taus_q, taus_q)).copy()
-        if self.n_points == 0:
-            means = np.zeros((kmax, self.n_dims))
-            variances = prior + 1.0 / self.beta
-        else:
-            kq = self.kernel(self.taus, taus_q)  # (N, kmax)
-            means = kq.T @ self._kinv_x  # (kmax, D)
-            variances = prior + 1.0 / self.beta - np.sum(kq * (self._kinv @ kq), axis=0)
-        return gaussian_log_table(means, variances, seq)
+        taus = np.arange(1, kmax + 1, dtype=np.float64)
+        return gaussian_log_table(*self._predict(taus), seq)

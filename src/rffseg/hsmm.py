@@ -175,29 +175,28 @@ def tileable(length: int, kmin: int, kmax: int) -> bool:
 
 def gaussian_log_table(means: np.ndarray, variances: np.ndarray,
                        seq: np.ndarray) -> np.ndarray:
-    """Diagonal-Gaussian frame log densities at every within-segment position.
+    """Gaussian frame log densities at every within-segment position.
 
-    ``means`` is ``(kmax, D)``; ``variances`` is ``(kmax, D)``, or
-    ``(kmax,)`` when shared by all dimensions; ``seq`` is ``(D, T)``.
-    Entry ``[j, t]`` of the ``(kmax, T)`` result is the log density of
-    frame ``t`` under position ``j``'s Gaussian, summed over dimensions.
+    ``means`` is ``(kmax, D)`` and ``seq`` is ``(D, T)``; ``variances``
+    is ``(kmax,)``, one per position and shared by every dimension, as
+    both emission backends predict it.  Entry ``[j, t]`` of the
+    ``(kmax, T)`` result is the log density of frame ``t`` under
+    position ``j``'s Gaussian, summed over dimensions.
 
-    The residual is expanded as ``x^2/v - 2 m x/v + m^2/v`` so the
-    whole table is one ``(kmax, 2D) @ (2D, T)`` product.  Frames and
-    means are first centred on the sequence's per-dimension mean, so an
-    offset shared by both does not cancel catastrophically.
+    The residual is expanded as ``(sum_d x_d^2 - 2 m.x + |m|^2) / v`` so
+    the whole table is one ``(kmax, D+1) @ (D+1, T)`` product.  Frames
+    and means are first centred on the sequence's per-dimension mean, so
+    an offset shared by both does not cancel catastrophically.
     """
     seq = np.asarray(seq, dtype=np.float64)
-    means = np.asarray(means, dtype=np.float64)
-    variances = np.broadcast_to(
-        np.asarray(variances, dtype=np.float64).reshape(len(means), -1), means.shape)
+    variances = np.asarray(variances, dtype=np.float64)
     prec = 1.0 / variances
     centre = seq.mean(axis=1)
     x = seq - centre[:, np.newaxis]
-    m = means - centre
-    coef = np.hstack([prec, -2.0 * m * prec])  # (kmax, 2D)
-    powers = np.vstack([x * x, x])  # (2D, T)
-    const = np.sum(LOG_2PI + np.log(variances) + m * m * prec, axis=1)
+    m = np.asarray(means, dtype=np.float64) - centre
+    coef = np.column_stack([prec, -2.0 * m * prec[:, np.newaxis]])  # (kmax, D+1)
+    powers = np.vstack([np.sum(x * x, axis=0), x])  # (D+1, T)
+    const = m.shape[1] * (LOG_2PI + np.log(variances)) + np.sum(m * m, axis=1) * prec
     return -0.5 * (coef @ powers + const[:, np.newaxis])
 
 

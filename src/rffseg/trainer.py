@@ -504,10 +504,14 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     """Rebuild an emission backend (and bank) from a snapshot dict.
 
     An exact-gp class is split back into its segments wherever a run of
-    positions restarts at 1.  Raises ``ValueError`` when the snapshot was
-    trained on a different number of dimensions than ``n_dims``, or when
-    a class's positions are not such runs.
+    positions restarts at 1.  Raises ``ValueError`` for a backend not in
+    ``BACKENDS``, when the snapshot was trained on a different number of
+    dimensions than ``n_dims``, or when a class's positions are not such
+    runs.
     """
+    if snap["backend"] not in BACKENDS:
+        raise ValueError(
+            f"snapshot backend {snap['backend']!r} is not one of {BACKENDS}")
     if int(snap["n_dims"]) != n_dims:
         raise ValueError(
             f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")

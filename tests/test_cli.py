@@ -263,6 +263,36 @@ class TestSegment:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "seg").exists()
 
+    @pytest.fixture(scope="class")
+    def trained_rff(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("trained")
+        data, files = synth_corpus(tmp, n_sequences=2)
+        assert run(["train", "--data", *files, "--out", tmp / "run",
+                    *TRAIN_FLAGS]) == 0
+        return files, (tmp / "run" / "model.json").read_text()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda s: s["model"].update(backend="exact_gp"), "'exact_gp'"),
+        (lambda s: s["config"].pop("beta"), "no key 'beta'"),
+        (lambda s: s["model"].pop("hsmm"), "no key 'hsmm'"),
+        (lambda s: s["model"]["classes"][0].pop("proj"), "no key 'proj'"),
+        (lambda s: s["model"]["classes"].pop(), "stores 2 classes, its hsmm has 3"),
+    ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-proj",
+            "one-class-fewer"])
+    def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
+                                               damage, message):
+        files, text = trained_rff
+        snap = json.loads(text)
+        damage(snap)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(snap))
+        capsys.readouterr()
+        assert run(["segment", "--model", model, "--data", files[0],
+                    "--label-column", 2, "--out", tmp_path / "seg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and message in err
+        assert not (tmp_path / "seg").exists()
+
     def test_frozen_model_segments_consistently_with_training(self, tmp_path):
         # labeling the training data again should roughly agree with the
         # training assignment (same patterns, same classes)
@@ -408,9 +438,13 @@ class TestBench:
 
     def test_rejects_bad_duplications(self, tmp_path, capsys):
         data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
-        assert run(["bench", "--data", *files, "--out", tmp_path / "b",
-                    "--classes", 2, "--duplications", "0,2"]) == 2
-        assert "duplications" in capsys.readouterr().err
+        # a repeated rung would be two points pooling the same trials
+        for rungs in ("0,2", "1,1"):
+            capsys.readouterr()
+            assert run(["bench", "--data", *files, "--out", tmp_path / "b",
+                        "--classes", 2, "--duplications", rungs]) == 2
+            assert "--duplications" in capsys.readouterr().err
+            assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_non_positive_trials(self, tmp_path, capsys, trials):

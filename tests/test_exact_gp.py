@@ -6,6 +6,7 @@ import pytest
 from rffseg.blr import ClassModel
 from rffseg.exact_gp import GpClassData, rbf_kernel
 from rffseg.features import sample_feature_bank
+from rffseg.hsmm import gaussian_log_table
 
 from helpers import direct_log_table, gaussian_logpdf
 
@@ -39,15 +40,39 @@ def test_single_observation_shrinks_toward_zero():
     assert var > 0.0
 
 
-def test_gram_inverse_is_correct():
+def test_predictive_matches_dense_solve():
+    # both queries against solves on the pooled Gram plus I/beta
     rng = np.random.default_rng(4)
+    taus_q = np.arange(1.0, 31.0)
     for n in (5, 60, 500):
-        gp = GpClassData(1, beta=BETA)
+        gp = GpClassData(2, beta=BETA)
         taus = rng.integers(1, 31, size=n).astype(float)
-        gp.set_points(taus, rng.normal(0, 1, size=(n, 1)))
-        gp.refresh()
+        values = rng.normal(0, 1, size=(n, 2))
+        gp.set_points(taus, values)
         gram = rbf_kernel(taus, taus) + np.eye(n) / BETA
-        assert np.max(np.abs(gram @ gp.gram_inverse() - np.eye(n))) < 1e-6
+        kq = rbf_kernel(taus, taus_q)
+        want_mean = kq.T @ np.linalg.solve(gram, values)
+        want_var = 1.0 + 1.0 / BETA - np.sum(kq * np.linalg.solve(gram, kq), axis=0)
+        for tau in (1, 13, 30):
+            mean, var = gp.gp_predictive(float(tau))
+            np.testing.assert_allclose(mean, want_mean[tau - 1], rtol=1e-8, atol=1e-10)
+            assert var == pytest.approx(want_var[tau - 1], rel=1e-8)
+        seq = rng.normal(0, 1, size=(2, 40))
+        np.testing.assert_allclose(gp.log_emission_table(seq, kmax=30),
+                                   direct_log_table(want_mean, want_var, seq),
+                                   rtol=1e-8)
+
+
+def test_empty_class_predictive_is_exactly_the_prior():
+    gp = GpClassData(2, beta=BETA)
+    mean, var = gp.gp_predictive(4.0)
+    np.testing.assert_array_equal(mean, np.zeros(2))
+    assert var == 1.0 + 1.0 / BETA
+    seq = np.array([[0.3, -1.2], [-0.7, 0.4]])
+    table = gp.log_emission_table(seq, kmax=5)
+    prior = np.full(5, 1.0 + 1.0 / BETA)
+    np.testing.assert_array_equal(
+        table, gaussian_log_table(np.zeros((5, 2)), prior, seq))
 
 
 def test_variance_stays_positive_with_duplicate_times():
