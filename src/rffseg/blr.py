@@ -64,7 +64,7 @@ class ClassModel:
         self.dirty = True
         self._post_mean = np.zeros((n_dims, n_features))
         self._post_cov = np.eye(n_features) / psi
-        # (bank, kmax, means, variances) of the last emission table; a
+        # (bank, kmax, means, variances) of position_predictive; a
         # refresh that recomputes the posterior drops it
         self._predictive_cache = None
 
@@ -157,20 +157,26 @@ class ClassModel:
         means, variances = self._predict(bank.phi(tau))
         return means, np.repeat(variances[..., np.newaxis], self.n_dims, axis=-1)
 
+    def position_predictive(self, bank: FeatureBank,
+                            kmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """Predictive ``(kmax, D)`` means and ``(kmax,)`` shared variances.
+
+        At within-segment positions 1..kmax, read from the bank's cached
+        position features.  Kept until the posterior next changes.
+        """
+        self.refresh()
+        cached = self._predictive_cache
+        if cached is None or cached[0] is not bank or cached[1] != kmax:
+            cached = (bank, kmax, *self._predict(bank.position_features(kmax)))
+            self._predictive_cache = cached
+        return cached[2], cached[3]
+
     def log_emission_table(self, bank: FeatureBank, seq: np.ndarray,
                            kmax: int) -> np.ndarray:
         """Frame log densities for every within-segment position.
 
         Entry ``[j, t]`` is the log density of frame ``t`` of ``seq``
         (shape ``(n_dims, T)``) when placed at within-segment position
-        ``j + 1``.  Shape ``(kmax, T)``.  The predictive at positions
-        1..kmax is kept until the posterior next changes.
+        ``j + 1``.  Shape ``(kmax, T)``.
         """
-        self.refresh()
-        cached = self._predictive_cache
-        if cached is None or cached[0] is not bank or cached[1] != kmax:
-            taus = np.arange(1, kmax + 1, dtype=np.float64)
-            cached = (bank, kmax, *self._predict(bank.phi(taus)))
-            self._predictive_cache = cached
-        _, _, means, variances = cached
-        return gaussian_log_table(means, variances, seq)
+        return gaussian_log_table(*self.position_predictive(bank, kmax), seq)

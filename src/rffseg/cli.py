@@ -274,8 +274,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     limit_threads(cfg.threads)
-    with open(model_path, "r", encoding="utf-8") as fh:
-        snap = json.load(fh)
+    try:
+        with open(model_path, "r", encoding="utf-8") as fh:
+            snap = json.load(fh)
+    except ValueError as exc:
+        raise DataFormatError(f"{model_path}: not a JSON snapshot: {exc}") from exc
+    if not isinstance(snap, dict):
+        raise DataFormatError(
+            f"{model_path}: snapshot must be a JSON object, got {type(snap).__name__}")
     version = snap.get("format_version")
     if version != SNAPSHOT_VERSION:
         raise DataFormatError(
@@ -300,10 +306,9 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     except ValueError as exc:
         raise DataFormatError(f"{model_path}: {exc}") from exc
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    emitters = emissions.emitters()
     labels, spans = [], []
     for seq in store.sequences:
-        lattice = forward_filter(seq, emitters, hsmm)
+        lattice = forward_filter(seq, emissions, hsmm)
         segs = backward_sample(lattice, hsmm, rng)
         spans.append(segs)
         labels.append(labels_from_spans(segs, seq.shape[1]))

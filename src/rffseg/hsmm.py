@@ -201,7 +201,15 @@ def gaussian_log_table(means: np.ndarray, variances: np.ndarray,
 
 
 def build_log_emission_tables(seq: np.ndarray, emitters, kmax: int) -> np.ndarray:
-    """Stack per-class frame-density tables into a (C, kmax, T) array."""
+    """Every class's frame-density table as one (C, kmax, T) array.
+
+    ``emitters`` is either an emission backend, which builds all classes'
+    tables at once through ``log_emission_tables(seq, kmax)``, or a
+    sequence of per-class evaluators exposing ``log_emission_table(seq,
+    kmax) -> (kmax, T)``, whose tables are stacked.
+    """
+    if hasattr(emitters, "log_emission_tables"):
+        return emitters.log_emission_tables(seq, kmax)
     return np.stack([em.log_emission_table(seq, kmax) for em in emitters])
 
 
@@ -224,9 +232,12 @@ def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
                    timer=None) -> ForwardLattice:
     """Run the forward pass of the segment lattice for one sequence.
 
-    ``emitters`` is one evaluator per class exposing
-    ``log_emission_table(seq, kmax) -> (kmax, T)``; each (class,
-    position, frame) density is evaluated exactly once.
+    ``emitters`` is an emission backend, whose ``len`` is the class
+    count and whose ``log_emission_tables(seq, kmax)`` returns the
+    ``(C, kmax, T)`` table, or one evaluator per class exposing
+    ``log_emission_table(seq, kmax) -> (kmax, T)``; see
+    :func:`build_log_emission_tables`.  Each (class, position, frame)
+    density is evaluated exactly once.
 
     The recursion advances ``kmin`` frames per step.  A segment ending
     in a block of frames ``t0 .. t0+kmin-1`` is at least ``kmin`` long,
@@ -329,7 +340,11 @@ def backward_sample(lattice: ForwardLattice, params: HsmmParams,
                 f"backward sampling reached an unreachable frame {t}")
         probs = np.exp(weights.ravel() - w_max)
         probs /= probs.sum()
-        idx = rng.choice(probs.size, p=probs)
+        # the draw of rng.choice(p=probs), without its per-call overhead:
+        # the same cumulative table and the same single uniform
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
         k = lattice.kmin + idx // n_classes
         label = idx % n_classes
         start = t - k + 1

@@ -23,6 +23,7 @@ from .hsmm import (
     Segment,
     backward_sample,
     forward_filter,
+    gaussian_log_table,
     tileable,
 )
 
@@ -127,15 +128,15 @@ class _Phase:
         return False
 
 
-class _BoundRffEmitter:
-    """ClassModel bound to its feature bank behind the emitter protocol."""
+def _stacked_log_tables(predictives, seq: np.ndarray) -> np.ndarray:
+    """``(C, kmax, T)`` tables from each class's ``(means, variances)``.
 
-    def __init__(self, model: ClassModel, bank: FeatureBank):
-        self.model = model
-        self.bank = bank
-
-    def log_emission_table(self, seq, kmax):
-        return self.model.log_emission_table(self.bank, seq, kmax)
+    All classes' positions go through one ``gaussian_log_table`` call, so
+    the sequence is centred, its powers built and the product run once.
+    """
+    means, variances = zip(*predictives)
+    table = gaussian_log_table(np.concatenate(means), np.concatenate(variances), seq)
+    return table.reshape(len(means), -1, table.shape[1])
 
 
 class RffEmissions:
@@ -161,8 +162,17 @@ class RffEmissions:
         for model in self.class_models:
             model.refresh()
 
+    def __len__(self) -> int:
+        return len(self.class_models)
+
     def emitters(self):
-        return [_BoundRffEmitter(m, self.bank) for m in self.class_models]
+        """The ``emitters`` argument of ``forward_filter``: this object."""
+        return self
+
+    def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
+        """``(C, kmax, T)`` frame log densities of every class."""
+        return _stacked_log_tables(
+            [m.position_predictive(self.bank, kmax) for m in self.class_models], seq)
 
     def audit_deviation(self, sequences, assignments) -> float:
         """Max-abs gap between incremental stats and a batch rebuild."""
@@ -230,8 +240,18 @@ class ExactGpEmissions:
         values = np.vstack([b.T for b in blocks])
         return taus, values
 
+    def __len__(self) -> int:
+        return len(self.class_models)
+
     def emitters(self):
-        return self.class_models
+        """The ``emitters`` argument of ``forward_filter``: this object."""
+        return self
+
+    def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
+        """``(C, kmax, T)`` frame log densities of every class."""
+        taus = np.arange(1, kmax + 1, dtype=np.float64)
+        return _stacked_log_tables([data._predict(taus) for data in self.class_models],
+                                   seq)
 
     def audit_deviation(self, sequences, assignments) -> float:
         expected = [dict() for _ in self.class_models]
@@ -398,8 +418,7 @@ def gibbs_sweep(state: TrainerState) -> TrainerState:
             state.hsmm.release_labels([seg.label for seg in old])
         with state.timer.phase("posterior"):
             state.emissions.refresh()
-        lattice = forward_filter(seq, state.emissions.emitters(), state.hsmm,
-                                 timer=state.timer)
+        lattice = forward_filter(seq, state.emissions, state.hsmm, timer=state.timer)
         with state.timer.phase("dp"):
             new = backward_sample(lattice, state.hsmm, state.rng)
         with state.timer.phase("stats"):

@@ -293,6 +293,22 @@ class TestSegment:
         assert err.startswith(f"error: {model}: ") and message in err
         assert not (tmp_path / "seg").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("not json\n", "not a JSON snapshot: Expecting value"),
+        ("[1]\n", "snapshot must be a JSON object, got list"),
+    ], ids=["not-json", "json-list"])
+    def test_unreadable_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
+                                                text, message):
+        files, _ = trained_rff
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        capsys.readouterr()
+        assert run(["segment", "--model", model, "--data", files[0],
+                    "--label-column", 2, "--out", tmp_path / "seg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and message in err
+        assert not (tmp_path / "seg").exists()
+
     def test_frozen_model_segments_consistently_with_training(self, tmp_path):
         # labeling the training data again should roughly agree with the
         # training assignment (same patterns, same classes)

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chisquare, poisson
 
 from rffseg.hsmm import (
+    ForwardLattice,
     HsmmParams,
     InfeasibleSequenceError,
     Segment,
@@ -303,6 +304,33 @@ class TestBackwardSample:
         lattice = forward_filter(np.zeros((1, 9)), emitters, params)
         segs = backward_sample(lattice, params, np.random.default_rng(1))
         assert segs == [Segment(0, 3, 0), Segment(3, 6, 0), Segment(6, 9, 0)]
+
+    def test_draw_is_the_draw_of_rng_choice(self):
+        # the first draw, at the sequence end, against rng.choice(p=) from
+        # the same seed, on random slices with unreachable cells
+        rng = np.random.default_rng(13)
+        unreachable = 0
+        for _ in range(2000):
+            n_frames, n_classes = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            log_alpha = rng.normal(scale=3.0, size=(n_frames, n_frames, n_classes))
+            log_alpha[rng.random(log_alpha.shape) < 0.4] = -np.inf
+            # every frame keeps one reachable cell
+            log_alpha[np.arange(n_frames), rng.integers(n_frames, size=n_frames),
+                      rng.integers(n_classes, size=n_frames)] = rng.normal(size=n_frames)
+            unreachable += int(np.isinf(log_alpha[-1]).sum())
+            lattice = ForwardLattice(log_alpha=log_alpha, log_norm=np.zeros(n_frames),
+                                     kmin=1, kmax=n_frames)
+            params = HsmmParams(n_classes=n_classes, kmin=1, kmax=n_frames,
+                                mean_length=1.0)
+            seed = int(rng.integers(2**32))
+            weights = log_alpha[-1].ravel()
+            probs = np.exp(weights - weights.max())
+            probs /= probs.sum()
+            idx = np.random.default_rng(seed).choice(probs.size, p=probs)
+            k, label = 1 + idx // n_classes, idx % n_classes
+            segs = backward_sample(lattice, params, np.random.default_rng(seed))
+            assert segs[-1] == Segment(n_frames - k, n_frames, label)
+        assert unreachable > 1000
 
     def test_samples_match_enumerated_posterior(self):
         # 20k-sample goodness of fit on the fixed tiny instance

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from rffseg.data import PatternSpec, SyntheticSpec, evaluate_nhd, generate_synthetic
-from rffseg.hsmm import InfeasibleSequenceError
+from rffseg.features import sample_feature_bank
+from rffseg.hsmm import InfeasibleSequenceError, forward_filter
 from rffseg.trainer import (
     BACKENDS,
     ConfigError,
+    ExactGpEmissions,
+    RffEmissions,
     TrainerConfig,
     emissions_from_snapshot,
     gibbs_sweep,
@@ -19,6 +22,8 @@ from rffseg.trainer import (
     train,
     train_with_restarts,
 )
+
+from helpers import TableEmitter, direct_log_table
 
 
 def small_store(seed=3, n_sequences=4, seq_length=120, sigma=0.05):
@@ -223,6 +228,73 @@ class TestBackendSwap:
             assert abs(a - b) / abs(b) < 0.05
 
 
+def per_class_tables(emissions, seq, kmax):
+    """Each class's own ``log_emission_table``, stacked."""
+    if emissions.backend_name == "rff":
+        return np.stack([m.log_emission_table(emissions.bank, seq, kmax)
+                         for m in emissions.class_models])
+    return np.stack([data.log_emission_table(seq, kmax)
+                     for data in emissions.class_models])
+
+
+class TestEmissionTables:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stacked_tables_equal_per_class_tables(self, backend):
+        store = small_store()
+        emissions = train(store.sequences,
+                          small_config(backend=backend, n_classes=3)).state.emissions
+        assert emissions.emitters() is emissions and len(emissions) == 3
+        for seq in store.sequences:
+            for kmax in (24, 9):
+                tables = emissions.log_emission_tables(seq, kmax)
+                assert tables.shape == (3, kmax, seq.shape[1])
+                np.testing.assert_array_equal(tables,
+                                              per_class_tables(emissions, seq, kmax))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_stacked_tables_match_residual_form(self, backend, offset):
+        # offset 1e4 with 0.1 residuals: un-normalized data far from zero
+        rng = np.random.default_rng(3)
+        if backend == "rff":
+            emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=8), 3, 3,
+                                     beta=10.0, psi=1.0)
+        else:
+            emissions = ExactGpEmissions(3, 3, beta=10.0, lengthscale=1.0)
+        for c in range(3):
+            for i in range(4):
+                emissions.add(c, (c, i), offset + 0.1 * rng.normal(size=(3, 20)))
+        emissions.refresh()
+        seq = offset + 0.1 * rng.normal(size=(3, 50))
+        taus = np.arange(1, 26, dtype=np.float64)
+        tables = emissions.log_emission_tables(seq, 25)
+        for c, table in enumerate(tables):
+            if backend == "rff":
+                means, variances = emissions.class_models[c].predictive(emissions.bank,
+                                                                        taus)
+            else:
+                pairs = [emissions.class_models[c].gp_predictive(t) for t in taus]
+                means = np.array([m for m, _ in pairs])
+                variances = np.array([v for _, v in pairs])
+            # the atol floor is for entries that cross zero, where no
+            # relative bound holds; a lost centring is off by about 1e-7
+            np.testing.assert_allclose(table, direct_log_table(means, variances, seq),
+                                       rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_forward_filter_on_backend_equals_table_emitters(self, backend):
+        store = small_store()
+        state = train(store.sequences, small_config(backend=backend, n_classes=3)).state
+        for seq in store.sequences:
+            kmax = min(state.hsmm.kmax, seq.shape[1])
+            emitters = [TableEmitter(t)
+                        for t in per_class_tables(state.emissions, seq, kmax)]
+            got = forward_filter(seq, state.emissions.emitters(), state.hsmm)
+            want = forward_filter(seq, emitters, state.hsmm)
+            np.testing.assert_array_equal(got.log_alpha, want.log_alpha)
+            np.testing.assert_array_equal(got.log_norm, want.log_norm)
+
+
 class TestSnapshot:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_round_trip_gives_the_same_emission_tables(self, backend):
@@ -239,9 +311,8 @@ class TestSnapshot:
         seq = store.sequences[0]
 
         def assert_same_tables():
-            for have, want in zip(emissions.emitters(), state.emissions.emitters()):
-                np.testing.assert_array_equal(have.log_emission_table(seq, config.kmax),
-                                              want.log_emission_table(seq, config.kmax))
+            np.testing.assert_array_equal(emissions.log_emission_tables(seq, config.kmax),
+                                          state.emissions.log_emission_tables(seq, config.kmax))
             for have, want in zip(emissions.class_models, state.emissions.class_models):
                 assert have.n_points == want.n_points
 
