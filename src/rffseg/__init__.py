@@ -10,6 +10,7 @@ from .hsmm import (
     Segment,
     backward_sample,
     forward_filter,
+    forward_from_table,
 )
 
 __version__ = "0.1.0"
@@ -26,6 +27,7 @@ __all__ = [
     "InfeasibleSequenceError",
     "Segment",
     "forward_filter",
+    "forward_from_table",
     "backward_sample",
     "__version__",
 ]

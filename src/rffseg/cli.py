@@ -34,7 +34,7 @@ from .data import (
     preprocess,
     quickstart_spec,
 )
-from .hsmm import InfeasibleSequenceError, backward_sample, forward_filter
+from .hsmm import InfeasibleSequenceError, backward_sample, forward_filter, tileable
 from .trainer import (
     BACKENDS,
     ConfigError,
@@ -222,14 +222,26 @@ def _spans_payload(store: SequenceStore, spans) -> list:
     ]
 
 
+def _require_tileable(store: SequenceStore, kmin: int, kmax: int) -> None:
+    """Refuse, naming each file, sequences that no segment lengths tile."""
+    bad = {name: s.shape[1] for name, s in zip(store.names, store.sequences)
+           if not tileable(s.shape[1], kmin, kmax)}
+    if bad:
+        raise DataFormatError(
+            f"segment lengths in [{kmin}, {kmax}] cannot tile "
+            + ", ".join(f"{name} ({frames} frames)" for name, frames in bad.items()))
+
+
 def _load_and_prepare(cfg: RunConfig) -> SequenceStore:
+    cfg.validate()
     store = load_sequences(cfg.data, cfg.schema())
-    return preprocess(store, downsample=cfg.downsample, normalize=cfg.normalize)
+    store = preprocess(store, downsample=cfg.downsample, normalize=cfg.normalize)
+    _require_tileable(store, cfg.kmin, cfg.kmax)
+    return store
 
 
 def cmd_train(cfg: RunConfig) -> int:
     limit_threads(cfg.threads)
-    cfg.validate()
     store = _load_and_prepare(cfg)
     result = train_with_restarts(store.sequences, cfg)
 
@@ -305,6 +317,7 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
         raise DataFormatError(f"{model_path}: snapshot has no key {exc}") from exc
     except ValueError as exc:
         raise DataFormatError(f"{model_path}: {exc}") from exc
+    _require_tileable(store, hsmm.kmin, hsmm.kmax)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     labels, spans = [], []
     for seq in store.sequences:

@@ -34,6 +34,7 @@ __all__ = [
     "Segment",
     "ForwardLattice",
     "forward_filter",
+    "forward_from_table",
     "backward_sample",
     "gaussian_log_table",
 ]
@@ -92,13 +93,17 @@ class HsmmParams:
                 f"[kmin, kmax] = [{self.kmin}, {self.kmax}]",
                 stacklevel=2)
         if self.transition_counts is None:
-            self.transition_counts = np.zeros((c, c), dtype=np.int64)
-        else:
-            self.transition_counts = np.asarray(self.transition_counts, dtype=np.int64)
+            self.transition_counts = np.zeros((c, c))
         if self.class_counts is None:
-            self.class_counts = np.zeros(c, dtype=np.int64)
-        else:
-            self.class_counts = np.asarray(self.class_counts, dtype=np.int64)
+            self.class_counts = np.zeros(c)
+        for name, shape in (("transition_counts", (c, c)), ("class_counts", (c,))):
+            counts = np.asarray(getattr(self, name), dtype=np.int64)
+            setattr(self, name, counts)
+            if counts.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} for {c} classes, "
+                                 f"got {counts.shape}")
+            if (counts < 0).any():
+                raise ValueError(f"{name} must not be negative, got {counts.min()}")
 
     def duration_logpmf(self, k: int) -> float:
         """Raw Poisson log pmf of a segment length.
@@ -177,16 +182,16 @@ def gaussian_log_table(means: np.ndarray, variances: np.ndarray,
                        seq: np.ndarray) -> np.ndarray:
     """Gaussian frame log densities at every within-segment position.
 
-    ``means`` is ``(kmax, D)`` and ``seq`` is ``(D, T)``; ``variances``
-    is ``(kmax,)``, one per position and shared by every dimension, as
-    both emission backends predict it.  Entry ``[j, t]`` of the
-    ``(kmax, T)`` result is the log density of frame ``t`` under
-    position ``j``'s Gaussian, summed over dimensions.
+    ``means`` is ``(..., kmax, D)``, ``variances`` ``(..., kmax)`` (one per
+    position, shared by every dimension, as both backends predict it)
+    and ``seq`` ``(D, T)``; any leading axes are classes.  Entry
+    ``[..., j, t]`` of the ``(..., kmax, T)`` result is the log density of
+    frame ``t`` under position ``j``'s Gaussian, summed over dimensions.
 
     The residual is expanded as ``(sum_d x_d^2 - 2 m.x + |m|^2) / v`` so
-    the whole table is one ``(kmax, D+1) @ (D+1, T)`` product.  Frames
-    and means are first centred on the sequence's per-dimension mean, so
-    an offset shared by both does not cancel catastrophically.
+    the whole table is one ``(n, D+1) @ (D+1, T)`` product.  Frames and
+    means are first centred on the sequence's per-dimension mean, so an
+    offset shared by both does not cancel catastrophically.
     """
     seq = np.asarray(seq, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
@@ -194,10 +199,11 @@ def gaussian_log_table(means: np.ndarray, variances: np.ndarray,
     centre = seq.mean(axis=1)
     x = seq - centre[:, np.newaxis]
     m = np.asarray(means, dtype=np.float64) - centre
-    coef = np.column_stack([prec, -2.0 * m * prec[:, np.newaxis]])  # (kmax, D+1)
+    coef = np.concatenate([prec[..., None], -2.0 * m * prec[..., None]], axis=-1)
     powers = np.vstack([np.sum(x * x, axis=0), x])  # (D+1, T)
-    const = m.shape[1] * (LOG_2PI + np.log(variances)) + np.sum(m * m, axis=1) * prec
-    return -0.5 * (coef @ powers + const[:, np.newaxis])
+    const = m.shape[-1] * (LOG_2PI + np.log(variances)) + np.sum(m * m, axis=-1) * prec
+    table = coef.reshape(-1, coef.shape[-1]) @ powers + const.reshape(-1, 1)
+    return -0.5 * table.reshape(*prec.shape, -1)
 
 
 def build_log_emission_tables(seq: np.ndarray, emitters, kmax: int) -> np.ndarray:
@@ -230,14 +236,21 @@ def _segment_score_table(emis: np.ndarray) -> np.ndarray:
 
 def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
                    timer=None) -> ForwardLattice:
-    """Run the forward pass of the segment lattice for one sequence.
+    """Build the table of ``emitters`` for ``seq`` (``"emission"``, see
+    :func:`build_log_emission_tables`), then :func:`forward_from_table` (``"dp"``)."""
+    kmax = min(params.kmax, seq.shape[1])
+    with timer.phase("emission") if timer is not None else nullcontext():
+        emis = build_log_emission_tables(seq, emitters, kmax)
+    with timer.phase("dp") if timer is not None else nullcontext():
+        return forward_from_table(emis, params)
 
-    ``emitters`` is an emission backend, whose ``len`` is the class
-    count and whose ``log_emission_tables(seq, kmax)`` returns the
-    ``(C, kmax, T)`` table, or one evaluator per class exposing
-    ``log_emission_table(seq, kmax) -> (kmax, T)``; see
-    :func:`build_log_emission_tables`.  Each (class, position, frame)
-    density is evaluated exactly once.
+
+def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
+    """Run the forward pass of the segment lattice on a frame table.
+
+    ``emis[c, j, t]`` is the log density of frame ``t`` at within-segment
+    position ``j + 1`` under class ``c``; its shape ``(C, kmax, T)`` must
+    have ``C == params.n_classes`` and ``kmax == min(params.kmax, T)``.
 
     The recursion advances ``kmin`` frames per step.  A segment ending
     in a block of frames ``t0 .. t0+kmin-1`` is at least ``kmin`` long,
@@ -251,60 +264,56 @@ def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
     normalized slice sums to one and every transition probability is at
     least ``alpha / (n + C alpha)``.
     """
-    seq = np.asarray(seq, dtype=np.float64)
-    n_frames = seq.shape[1]
-    n_classes = params.n_classes
-    if len(emitters) != n_classes:
-        raise ValueError(f"expected {n_classes} emitters, got {len(emitters)}")
+    n_classes, kmax, n_frames = emis.shape
+    if n_classes != params.n_classes:
+        raise ValueError(f"table has {n_classes} classes, the chain has {params.n_classes}")
     if n_frames < params.kmin:
         raise InfeasibleSequenceError(
             f"sequence of {n_frames} frames is shorter than kmin={params.kmin}")
+    if kmax != min(params.kmax, n_frames):
+        raise ValueError(f"table has {kmax} positions, not min(kmax, T) = "
+                         f"{min(params.kmax, n_frames)}")
     kmin = params.kmin
-    kmax = min(params.kmax, n_frames)
     n_k = kmax - kmin + 1
 
-    with timer.phase("emission") if timer is not None else nullcontext():
-        emis = build_log_emission_tables(seq, emitters, kmax)
+    log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
+    # score[s, k - kmin, c]: duration plus emissions of the length-k
+    # segment of class c starting at frame s
+    seg = _segment_score_table(emis)[:, kmin - 1:, :]
+    score = seg.transpose(2, 1, 0) + log_dur[None, :, None]
+    trans = np.exp(params.log_transition_matrix())
 
-    with timer.phase("dp") if timer is not None else nullcontext():
-        log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
-        # score[s, k - kmin, c]: duration plus emissions of the length-k
-        # segment of class c starting at frame s
-        seg = _segment_score_table(emis)[:, kmin - 1:, :]
-        score = seg.transpose(2, 1, 0) + log_dur[None, :, None]
-        trans = np.exp(params.log_transition_matrix())
+    log_alpha = np.full((n_frames, n_k, n_classes), -np.inf)
+    log_norm = np.full(n_frames, -np.inf)
+    # entry[kmax + s, c]: unnormalized log mass entering class c by a
+    # segment starting at frame s (cumulative normalizer folded in);
+    # rows for s < 0 stay -inf, the row for s = T is never read
+    entry = np.full((kmax + n_frames + 1, n_classes), -np.inf)
+    entry[kmax] = -math.log(n_classes)
+    lengths = np.arange(n_k)
+    # start frame of each (frame, length) cell of a block, less t0
+    offsets = np.arange(kmin)[:, None] - np.arange(kmin, kmax + 1)[None, :] + 1
 
-        log_alpha = np.full((n_frames, n_k, n_classes), -np.inf)
-        log_norm = np.full(n_frames, -np.inf)
-        # entry[kmax + s, c]: unnormalized log mass entering class c by a
-        # segment starting at frame s (cumulative normalizer folded in);
-        # rows for s < 0 stay -inf, the row for s = T is never read
-        entry = np.full((kmax + n_frames + 1, n_classes), -np.inf)
-        entry[kmax] = -math.log(n_classes)
-        lengths = np.arange(n_k)
-        # start frame of each (frame, length) cell of a block, less t0
-        offsets = np.arange(kmin)[:, None] - np.arange(kmin, kmax + 1)[None, :] + 1
-
-        for t0 in range(kmin - 1, n_frames, kmin):
-            t1 = min(t0 + kmin, n_frames)
-            starts = t0 + offsets[: t1 - t0]  # (b, n_k)
-            rows = score[np.maximum(starts, 0), lengths] + entry[kmax + starts]
-            peak = rows.max(axis=(1, 2))
-            shift = np.where(np.isfinite(peak), peak, 0.0)
-            mass = np.exp(rows - shift[:, None, None])
-            ending = mass.sum(axis=1)  # (b, C) mass per ending class
-            total = ending.sum(axis=1)
-            reached = total > 0  # False on frames that no tiling reaches
-            with np.errstate(divide="ignore"):
-                norm = shift + np.log(total)
-                # multiply and sum apart, not through BLAS: a fused
-                # multiply-add would make relabelling two classes change
-                # the lattice in its last bit
-                into = (ending[:, :, None] / np.where(reached, total, 1.0)[:, None, None]
-                        * trans).sum(axis=1)
-                entry[kmax + t0 + 1: kmax + t1 + 1] = norm[:, None] + np.log(into)
-            log_norm[t0:t1] = norm
-            log_alpha[t0:t1] = rows - np.where(reached, norm, 0.0)[:, None, None]
+    for t0 in range(kmin - 1, n_frames, kmin):
+        t1 = min(t0 + kmin, n_frames)
+        starts = t0 + offsets[: t1 - t0]  # (b, n_k)
+        rows = score[np.maximum(starts, 0), lengths] + entry[kmax + starts]
+        peak = rows.max(axis=(1, 2))
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        mass = np.exp(rows - shift[:, None, None])
+        ending = mass.sum(axis=1)  # (b, C) mass per ending class
+        total = ending.sum(axis=1)
+        reached = total > 0  # False on frames that no tiling reaches
+        with np.errstate(divide="ignore"):
+            norm = shift + np.log(total)
+            # multiply and sum apart, not through BLAS: a fused
+            # multiply-add would make relabelling two classes change
+            # the lattice in its last bit
+            into = (ending[:, :, None] / np.where(reached, total, 1.0)[:, None, None]
+                    * trans).sum(axis=1)
+            entry[kmax + t0 + 1: kmax + t1 + 1] = norm[:, None] + np.log(into)
+        log_norm[t0:t1] = norm
+        log_alpha[t0:t1] = rows - np.where(reached, norm, 0.0)[:, None, None]
 
     if not np.isfinite(log_norm[-1]):
         raise InfeasibleSequenceError(

@@ -128,17 +128,6 @@ class _Phase:
         return False
 
 
-def _stacked_log_tables(predictives, seq: np.ndarray) -> np.ndarray:
-    """``(C, kmax, T)`` tables from each class's ``(means, variances)``.
-
-    All classes' positions go through one ``gaussian_log_table`` call, so
-    the sequence is centred, its powers built and the product run once.
-    """
-    means, variances = zip(*predictives)
-    table = gaussian_log_table(np.concatenate(means), np.concatenate(variances), seq)
-    return table.reshape(len(means), -1, table.shape[1])
-
-
 class RffEmissions:
     """Incremental random-feature regression models, one per class."""
 
@@ -162,17 +151,15 @@ class RffEmissions:
         for model in self.class_models:
             model.refresh()
 
-    def __len__(self) -> int:
-        return len(self.class_models)
-
     def emitters(self):
         """The ``emitters`` argument of ``forward_filter``: this object."""
         return self
 
     def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
         """``(C, kmax, T)`` frame log densities of every class."""
-        return _stacked_log_tables(
-            [m.position_predictive(self.bank, kmax) for m in self.class_models], seq)
+        means, variances = zip(*(m.position_predictive(self.bank, kmax)
+                                 for m in self.class_models))
+        return gaussian_log_table(np.array(means), np.array(variances), seq)
 
     def audit_deviation(self, sequences, assignments) -> float:
         """Max-abs gap between incremental stats and a batch rebuild."""
@@ -240,9 +227,6 @@ class ExactGpEmissions:
         values = np.vstack([b.T for b in blocks])
         return taus, values
 
-    def __len__(self) -> int:
-        return len(self.class_models)
-
     def emitters(self):
         """The ``emitters`` argument of ``forward_filter``: this object."""
         return self
@@ -250,8 +234,8 @@ class ExactGpEmissions:
     def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
         """``(C, kmax, T)`` frame log densities of every class."""
         taus = np.arange(1, kmax + 1, dtype=np.float64)
-        return _stacked_log_tables([data._predict(taus) for data in self.class_models],
-                                   seq)
+        means, variances = zip(*(data._predict(taus) for data in self.class_models))
+        return gaussian_log_table(np.array(means), np.array(variances), seq)
 
     def audit_deviation(self, sequences, assignments) -> float:
         expected = [dict() for _ in self.class_models]

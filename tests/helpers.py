@@ -5,12 +5,7 @@ import math
 
 import numpy as np
 
-from rffseg.hsmm import (
-    ForwardLattice,
-    InfeasibleSequenceError,
-    _segment_score_table,
-    build_log_emission_tables,
-)
+from rffseg.hsmm import ForwardLattice, InfeasibleSequenceError
 
 
 class TableEmitter:
@@ -123,25 +118,22 @@ def logsumexp(a, axis=None):
     return out + np.squeeze(shift, axis=axis)
 
 
-def reference_forward(seq, emitters, params):
+def reference_forward(emis, params):
     """Frame-by-frame forward recursion, all in the log domain.
 
-    Same contract as ``rffseg.hsmm.forward_filter``: one step per frame,
-    each a log-sum-exp over (length, class) cells and one over
-    predecessor classes.
+    Same contract as ``rffseg.hsmm.forward_from_table``: ``emis`` is the
+    ``(C, kmax, T)`` frame table.  One step per frame, each a log-sum-exp
+    over (length, class) cells and one over predecessor classes; each
+    segment's score is summed here along the table's diagonal.
     """
-    seq = np.asarray(seq, dtype=np.float64)
-    n_frames = seq.shape[1]
-    n_classes = params.n_classes
+    emis = np.asarray(emis, dtype=np.float64)
+    n_classes, kmax, n_frames = emis.shape
     if n_frames < params.kmin:
         raise InfeasibleSequenceError(
             f"sequence of {n_frames} frames is shorter than kmin={params.kmin}")
     kmin = params.kmin
-    kmax = min(params.kmax, n_frames)
     n_k = kmax - kmin + 1
 
-    emis = build_log_emission_tables(seq, emitters, kmax)
-    seg = _segment_score_table(emis)
     log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
     log_trans = params.log_transition_matrix()
     log_init = -math.log(n_classes)
@@ -158,7 +150,9 @@ def reference_forward(seq, emitters, params):
             continue
         ks = np.arange(kmin, hi + 1)
         starts = t - ks + 1
-        seg_scores = seg[:, ks - 1, starts].T  # (n_ks, C)
+        # (n_ks, C): frame t-k+1+j at position j, summed over the segment
+        seg_scores = np.array([emis[:, np.arange(k), s + np.arange(k)].sum(axis=1)
+                               for k, s in zip(ks, starts)])
         prev = np.where((starts == 0)[:, None], log_init,
                         trans_in[np.maximum(starts - 1, 0)])
         row = seg_scores + log_dur[ks - kmin][:, None] + prev

@@ -277,8 +277,15 @@ class TestSegment:
         (lambda s: s["model"].pop("hsmm"), "no key 'hsmm'"),
         (lambda s: s["model"]["classes"][0].pop("proj"), "no key 'proj'"),
         (lambda s: s["model"]["classes"].pop(), "stores 2 classes, its hsmm has 3"),
+        (lambda s: s["model"]["hsmm"].update(transition_counts=[[1, 0], [0, 1]]),
+         "transition_counts must have shape (3, 3) for 3 classes, got (2, 2)"),
+        (lambda s: s["model"]["hsmm"]["transition_counts"][0].__setitem__(0, -50),
+         "transition_counts must not be negative, got -50"),
+        (lambda s: s["model"]["hsmm"]["class_counts"].pop(),
+         "class_counts must have shape (3,) for 3 classes, got (2,)"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-proj",
-            "one-class-fewer"])
+            "one-class-fewer", "transitions-2x2", "negative-count",
+            "class-counts-short"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff
@@ -308,6 +315,23 @@ class TestSegment:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: ") and message in err
         assert not (tmp_path / "seg").exists()
+
+    def test_untileable_file_is_named(self, tmp_path, capsys, trained_rff):
+        # 5 frames cannot be cut into segments of 8 to 22 frames
+        files, text = trained_rff
+        short = tmp_path / "short.txt"
+        short.write_text("".join(Path(files[0]).read_text().splitlines(True)[:5]))
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        for argv in (["train", *TRAIN_FLAGS],
+                     ["bench", *TRAIN_FLAGS, "--trials", 1],
+                     ["segment", "--model", model, "--label-column", 2]):
+            capsys.readouterr()
+            assert run([*argv, "--data", *files, short, "--out", tmp_path / "out"]) == 2
+            err = capsys.readouterr().err
+            assert f"{short} (5 frames)" in err and "[8, 22]" in err, argv[0]
+            assert str(files[0]) not in err
+            assert not (tmp_path / "out").exists()
 
     def test_frozen_model_segments_consistently_with_training(self, tmp_path):
         # labeling the training data again should roughly agree with the

@@ -13,6 +13,7 @@ from rffseg.hsmm import (
     Segment,
     backward_sample,
     forward_filter,
+    forward_from_table,
     gaussian_log_table,
     tileable,
 )
@@ -131,8 +132,8 @@ class TestForwardFilter:
 
     def test_marginal_matches_enumeration(self):
         for seed in (7, 8, 9):
-            seq, tables, emitters, params = fixed_instance(seed=seed)
-            lattice = forward_filter(seq, emitters, params)
+            seq, tables, _, params = fixed_instance(seed=seed)
+            lattice = forward_from_table(tables, params)
             _, log_marginal = enumerate_posterior(tables, params, seq.shape[1])
             assert abs(lattice.total_loglik - log_marginal) < 1e-10
 
@@ -141,9 +142,19 @@ class TestForwardFilter:
         forward_filter(seq, emitters, params)
         assert [e.calls for e in emitters] == [1, 1]
 
+    @pytest.mark.parametrize("n_frames,kmax", [(6, 3), (5, 9)])
+    def test_equals_forward_from_table_on_stacked_table(self, n_frames, kmax):
+        # kmax > T: forward_filter builds the table at min(kmax, T) positions
+        seq, tables, emitters, params = fixed_instance(n_frames=n_frames, kmax=kmax)
+        got = forward_filter(seq, emitters, params)
+        want = forward_from_table(tables[:, :min(kmax, n_frames)], params)
+        np.testing.assert_array_equal(got.log_alpha, want.log_alpha)
+        np.testing.assert_array_equal(got.log_norm, want.log_norm)
+        assert (got.kmin, got.kmax) == (want.kmin, want.kmax)
+
     def test_lattice_is_normalized_and_nan_free(self):
-        seq, _, emitters, params = fixed_instance(n_frames=8)
-        lattice = forward_filter(seq, emitters, params)
+        _, tables, _, params = fixed_instance(n_frames=8)
+        lattice = forward_from_table(tables, params)
         assert not np.isnan(lattice.log_alpha).any()
         for t in range(lattice.n_frames):
             if np.isfinite(lattice.log_norm[t]):
@@ -152,8 +163,8 @@ class TestForwardFilter:
                 assert lattice.log_alpha[t].max() <= 1e-10
 
     def test_impossible_cells_are_log_zero(self):
-        seq, _, emitters, params = fixed_instance(n_frames=8, kmin=2, kmax=3)
-        lattice = forward_filter(seq, emitters, params)
+        _, tables, _, params = fixed_instance(n_frames=8, kmin=2, kmax=3)
+        lattice = forward_from_table(tables, params)
         for t in range(lattice.n_frames):
             for k in range(lattice.kmin, lattice.kmax + 1):
                 if k > t + 1:
@@ -163,22 +174,21 @@ class TestForwardFilter:
     def test_uniform_emissions_give_uniform_class_posterior(self):
         n_frames, kmax = 8, 3
         table = np.random.default_rng(1).normal(-1, 1, size=(kmax, n_frames))
-        emitters = [TableEmitter(table), TableEmitter(table.copy())]
         params = HsmmParams(n_classes=2, kmin=1, kmax=kmax, mean_length=2.0)
-        lattice = forward_filter(np.zeros((1, n_frames)), emitters, params)
+        lattice = forward_from_table(np.stack([table, table.copy()]), params)
         np.testing.assert_allclose(lattice.log_alpha[..., 0],
                                    lattice.log_alpha[..., 1], atol=1e-12)
 
     def test_label_permutation_permutes_lattice(self):
-        seq, tables, emitters, params = fixed_instance(n_classes=2)
-        lattice = forward_filter(seq, emitters, params)
+        seq, tables, _, params = fixed_instance(n_classes=2)
+        lattice = forward_from_table(tables, params)
         perm = [1, 0]
         swapped = HsmmParams(
             n_classes=2, kmin=params.kmin, kmax=params.kmax,
             mean_length=params.mean_length, alpha=params.alpha,
             transition_counts=params.transition_counts[np.ix_(perm, perm)],
             class_counts=params.class_counts[perm])
-        lattice_p = forward_filter(seq, [emitters[1], emitters[0]], swapped)
+        lattice_p = forward_from_table(tables[perm], swapped)
         np.testing.assert_array_equal(lattice_p.log_alpha[..., perm],
                                       lattice.log_alpha)
         np.testing.assert_array_equal(lattice_p.log_norm, lattice.log_norm)
@@ -192,20 +202,40 @@ class TestForwardFilter:
 
     def test_unreachable_tail_is_infeasible(self):
         # 31 frames cannot be tiled with lengths in [16, 30]
-        seq, _, emitters, params = fixed_instance(
+        _, tables, _, params = fixed_instance(
             n_frames=31, kmin=16, kmax=30, mean_length=20.0)
         with pytest.raises(InfeasibleSequenceError):
-            forward_filter(seq, emitters, params)
+            forward_from_table(tables, params)
+
+    def test_table_of_another_class_count_is_refused(self):
+        _, tables, _, params = fixed_instance(n_classes=2)
+        with pytest.raises(ValueError, match="table has 3 classes, the chain has 2"):
+            forward_from_table(np.concatenate([tables, tables[:1]]), params)
+
+    @pytest.mark.parametrize("positions", [2, 4])
+    def test_table_of_another_position_count_is_refused(self, positions):
+        # kmax=3 and T=6: the table must hold min(kmax, T) = 3 positions
+        rng = np.random.default_rng(positions)
+        _, _, _, params = fixed_instance()
+        with pytest.raises(ValueError, match=f"table has {positions} positions"):
+            forward_from_table(rng.normal(size=(2, positions, 6)), params)
+
+    def test_table_shorter_than_kmin_is_infeasible(self):
+        _, tables, _, params = fixed_instance()
+        params.kmin = 4
+        with pytest.raises(InfeasibleSequenceError,
+                           match="sequence of 3 frames is shorter than kmin=4"):
+            forward_from_table(tables[:, :3, :3], params)
 
 
 def random_instance(rng, n_frames, kmin, kmax, n_classes, scale=1.0):
+    """A ``(C, min(kmax, T), T)`` frame table and its chain parameters."""
     tables = rng.normal(-1.0, scale, size=(n_classes, kmax, n_frames))
     params = HsmmParams(
         n_classes=n_classes, kmin=kmin, kmax=kmax,
         mean_length=float(rng.uniform(kmin, kmax)), alpha=float(rng.uniform(0.3, 2.0)),
         transition_counts=rng.integers(0, 6, size=(n_classes, n_classes)))
-    emitters = [TableEmitter(tables[c]) for c in range(n_classes)]
-    return np.zeros((1, n_frames)), tables, emitters, params
+    return tables[:, :min(kmax, n_frames)], params
 
 
 class TestBlockedRecursion:
@@ -221,9 +251,8 @@ class TestBlockedRecursion:
         # frame t of the lattice is the forward pass over frames 0..t, so
         # every prefix's enumerated posterior checks one slice
         rng = np.random.default_rng([n_frames, kmin, kmax, n_classes])
-        seq, tables, emitters, params = random_instance(
-            rng, n_frames, kmin, kmax, n_classes)
-        lattice = forward_filter(seq, emitters, params)
+        tables, params = random_instance(rng, n_frames, kmin, kmax, n_classes)
+        lattice = forward_from_table(tables, params)
         for t in range(n_frames):
             if not tileable(t + 1, kmin, kmax):
                 assert lattice.log_norm[t] == -np.inf
@@ -240,9 +269,9 @@ class TestBlockedRecursion:
     @pytest.mark.parametrize("n_frames,kmin,kmax,n_classes", INFEASIBLE)
     def test_untileable_lattice_is_infeasible(self, n_frames, kmin, kmax, n_classes):
         rng = np.random.default_rng([n_frames, kmin, kmax, n_classes])
-        seq, _, emitters, params = random_instance(rng, n_frames, kmin, kmax, n_classes)
+        tables, params = random_instance(rng, n_frames, kmin, kmax, n_classes)
         with pytest.raises(InfeasibleSequenceError):
-            forward_filter(seq, emitters, params)
+            forward_from_table(tables, params)
 
     @pytest.mark.parametrize("n_frames,kmin,kmax", [
         (164, 15, 30), (163, 15, 30), (171, 15, 30), (100, 15, 20), (64, 1, 5)])
@@ -251,10 +280,9 @@ class TestBlockedRecursion:
         # of 8-dimensional densities; (100, 15, 20) leaves frames 20..29
         # unreachable
         rng = np.random.default_rng([n_frames, kmin, kmax])
-        seq, _, emitters, params = random_instance(
-            rng, n_frames, kmin, kmax, 11, scale=4.0)
-        got = forward_filter(seq, emitters, params)
-        want = reference_forward(seq, emitters, params)
+        tables, params = random_instance(rng, n_frames, kmin, kmax, 11, scale=4.0)
+        got = forward_from_table(tables, params)
+        want = reference_forward(tables, params)
         np.testing.assert_array_equal(np.isneginf(got.log_alpha),
                                       np.isneginf(want.log_alpha))
         np.testing.assert_array_equal(np.isneginf(got.log_norm),
@@ -282,12 +310,24 @@ class TestGaussianLogTable:
         assert table.shape == (30, 164)
         np.testing.assert_allclose(table, want, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("offset,spread", [(0.0, 1.0), (1e4, 0.1)])
+    def test_stacked_classes_equal_per_class_calls(self, offset, spread):
+        rng = np.random.default_rng(6)
+        seq = offset + spread * rng.normal(size=(8, 164))
+        means = offset + spread * rng.normal(size=(11, 30, 8))
+        variances = rng.uniform(0.05, 0.5, size=(11, 30))
+        table = gaussian_log_table(means, variances, seq)
+        assert table.shape == (11, 30, 164)
+        np.testing.assert_array_equal(
+            table, np.stack([gaussian_log_table(m, v, seq)
+                             for m, v in zip(means, variances)]))
+
 
 class TestBackwardSample:
     def test_spans_tile_exactly(self):
         rng = np.random.default_rng(0)
-        seq, _, emitters, params = fixed_instance(n_frames=8)
-        lattice = forward_filter(seq, emitters, params)
+        _, tables, _, params = fixed_instance(n_frames=8)
+        lattice = forward_from_table(tables, params)
         for _ in range(50):
             segs = backward_sample(lattice, params, rng)
             assert segs[0].start == 0
@@ -298,10 +338,8 @@ class TestBackwardSample:
             assert sum(s.length for s in segs) == 8
 
     def test_degenerate_lattice_returns_unique_tiling(self):
-        table = np.zeros((3, 9))
-        emitters = [TableEmitter(table)]
         params = HsmmParams(n_classes=1, kmin=3, kmax=3, mean_length=3.0)
-        lattice = forward_filter(np.zeros((1, 9)), emitters, params)
+        lattice = forward_from_table(np.zeros((1, 3, 9)), params)
         segs = backward_sample(lattice, params, np.random.default_rng(1))
         assert segs == [Segment(0, 3, 0), Segment(3, 6, 0), Segment(6, 9, 0)]
 
@@ -334,8 +372,8 @@ class TestBackwardSample:
 
     def test_samples_match_enumerated_posterior(self):
         # 20k-sample goodness of fit on the fixed tiny instance
-        seq, tables, emitters, params = fixed_instance()
-        lattice = forward_filter(seq, emitters, params)
+        _, tables, _, params = fixed_instance()
+        lattice = forward_from_table(tables, params)
         outcomes, log_marginal = enumerate_posterior(tables, params, 6)
         n_samples = 20_000
         rng = np.random.default_rng(77)
