@@ -1,7 +1,8 @@
 """Per-class Bayesian linear regression over random Fourier features.
 
 Each segment class keeps one set of regression sufficient statistics per
-output dimension.  Segments can be absorbed and released incrementally
+output dimension, stored as views of one precision stack and one
+projection stack.  Segments can be absorbed and released incrementally
 (rank-k updates), and the Gaussian posterior predictive is recovered on
 demand by factorizing the accumulated precision matrix.  That precision
 does not depend on the dimension, so it is factorized once per class.
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .features import FeatureBank
 from .hsmm import gaussian_log_table
@@ -25,30 +27,27 @@ class RegressionStats:
     """Sufficient statistics of one dimension's regression.
 
     ``precision`` is the posterior precision ``psi*I + beta * sum phi phi^T``;
-    ``proj`` is the observation projection ``beta * sum x * phi``.
+    ``proj`` is the observation projection ``beta * sum x * phi``.  In a
+    :class:`ClassModel` both are views of the class's stacks, so they are
+    written in place, never rebound.
     """
 
     precision: np.ndarray
     proj: np.ndarray
     n_points: int = 0
 
-    @classmethod
-    def empty(cls, n_features: int, psi: float) -> "RegressionStats":
-        return cls(
-            precision=psi * np.eye(n_features),
-            proj=np.zeros(n_features),
-            n_points=0,
-        )
-
 
 class ClassModel:
     """Emission model of one segment class, independent per dimension.
 
     Every dimension shares one precision ``psi*I + beta * sum phi phi^T``,
-    so the posterior is one factorization per class.  The posterior and
-    the predictive at positions 1..kmax are refreshed lazily: statistics
-    updates are cheap rank-k operations, the O(M^3) factorization runs
-    once per refresh.  Single writer; reads are safe once refreshed.
+    so the posterior is one factorization per class.  ``stats[d]``'s
+    ``precision`` and ``proj`` are views of a ``(D, M, M)`` precision
+    stack and a ``(D, M)`` projection stack, so one in-place operation
+    updates every dimension.  The posterior and the predictive at
+    positions 1..kmax are refreshed lazily: statistics updates are cheap
+    rank-k operations, the O(M^3) factorization runs once per refresh.
+    Single writer; reads are safe once refreshed.
     """
 
     def __init__(self, class_id: int, n_dims: int, n_features: int,
@@ -60,7 +59,9 @@ class ClassModel:
         self.n_features = n_features
         self.beta = beta
         self.psi = psi
-        self.stats = [RegressionStats.empty(n_features, psi) for _ in range(n_dims)]
+        self._precision = np.tile(psi * np.eye(n_features), (n_dims, 1, 1))
+        self._proj = np.zeros((n_dims, n_features))
+        self.stats = [RegressionStats(p, q) for p, q in zip(self._precision, self._proj)]
         self.dirty = True
         self._post_mean = np.zeros((n_dims, n_features))
         self._post_cov = np.eye(n_features) / psi
@@ -94,15 +95,18 @@ class ClassModel:
         return segment
 
     def _accumulate(self, bank: FeatureBank, segment: np.ndarray, sign: int) -> None:
-        # within-segment times are 1-based, so the segment's features and
-        # Gram are the bank's first k rows and its k-th prefix Gram
+        """Add ``sign`` times the segment's statistics to every dimension.
+
+        Within-segment times are 1-based, so the segment's features and
+        Gram are the bank's first k rows and its k-th prefix Gram.  The
+        Gram goes into the whole precision stack and the projections into
+        the projection stack, one in-place add each.
+        """
         k = segment.shape[1]
         scale = sign * self.beta
-        gram = scale * bank.prefix_gram(k)
-        proj = scale * (segment @ bank.position_features(k))  # (n_dims, n_features)
-        for st, row in zip(self.stats, proj):
-            st.precision += gram
-            st.proj += row
+        self._precision += scale * bank.prefix_gram(k)
+        self._proj += scale * (segment @ bank.position_features(k))  # (n_dims, n_features)
+        for st in self.stats:
             st.n_points += sign * k
         self.dirty = True
 
@@ -127,16 +131,17 @@ class ClassModel:
     def refresh(self) -> None:
         """Recompute the posterior from the statistics.
 
-        One Cholesky factorization of the shared precision; the means of
-        all dimensions come from one solve.  The explicit inverse is
-        kept only for the phi^T Sigma phi predictive quadratic form.
+        One Cholesky factorization of the shared precision (``cho_factor``);
+        LAPACK's ``dpotrs`` then solves on that factor for the means of all
+        dimensions, from the projection stack, and for the explicit
+        inverse, which is kept only for the phi^T Sigma phi predictive
+        quadratic form.
         """
         if not self.dirty:
             return
-        cf = cho_factor(self.shared_precision(), lower=True, check_finite=False)
-        proj = np.array([st.proj for st in self.stats]).T  # (M, D)
-        self._post_mean = cho_solve(cf, proj, check_finite=False).T
-        self._post_cov = cho_solve(cf, np.eye(self.n_features), check_finite=False)
+        factor, _ = cho_factor(self.shared_precision(), lower=True, check_finite=False)
+        self._post_mean = dpotrs(factor, self._proj.T, lower=1)[0].T
+        self._post_cov = dpotrs(factor, np.eye(self.n_features), lower=1)[0]
         self._predictive_cache = None
         self.dirty = False
 

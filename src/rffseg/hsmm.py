@@ -27,6 +27,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "InfeasibleSequenceError",
@@ -202,8 +203,10 @@ def gaussian_log_table(means: np.ndarray, variances: np.ndarray,
     coef = np.concatenate([prec[..., None], -2.0 * m * prec[..., None]], axis=-1)
     powers = np.vstack([np.sum(x * x, axis=0), x])  # (D+1, T)
     const = m.shape[-1] * (LOG_2PI + np.log(variances)) + np.sum(m * m, axis=-1) * prec
-    table = coef.reshape(-1, coef.shape[-1]) @ powers + const.reshape(-1, 1)
-    return -0.5 * table.reshape(*prec.shape, -1)
+    table = coef.reshape(-1, coef.shape[-1]) @ powers
+    table += const.reshape(-1, 1)
+    table *= -0.5
+    return table.reshape(*prec.shape, -1)
 
 
 def build_log_emission_tables(seq: np.ndarray, emitters, kmax: int) -> np.ndarray:
@@ -217,21 +220,6 @@ def build_log_emission_tables(seq: np.ndarray, emitters, kmax: int) -> np.ndarra
     if hasattr(emitters, "log_emission_tables"):
         return emitters.log_emission_tables(seq, kmax)
     return np.stack([em.log_emission_table(seq, kmax) for em in emitters])
-
-
-def _segment_score_table(emis: np.ndarray) -> np.ndarray:
-    """Cumulative segment scores from a (C, kmax, T) frame table.
-
-    Output ``[c, j, s]`` is the summed log density of the segment of
-    length ``j + 1`` starting at frame ``s`` under class ``c`` (the
-    running diagonal sums of the frame table).
-    """
-    n_classes, kmax, n_frames = emis.shape
-    seg = np.full((n_classes, kmax, n_frames), -np.inf)
-    seg[:, 0, :] = emis[:, 0, :]
-    for j in range(1, kmax):
-        seg[:, j, : n_frames - j] = seg[:, j - 1, : n_frames - j] + emis[:, j, j:]
-    return seg
 
 
 def forward_filter(seq: np.ndarray, emitters, params: HsmmParams,
@@ -263,6 +251,12 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     in the linear domain.  That product is safe from underflow: every
     normalized slice sums to one and every transition probability is at
     least ``alpha / (n + C alpha)``.
+
+    The segment scores are the end-indexed running sums ``ends[c, j, t] =
+    ends[c, j - 1, t - 1] + emis[c, j, t]``, plus the duration term added
+    straight into ``log_alpha``; each block then adds its entry mass,
+    read through a sliding window over ``entry``, and is normalized in
+    place.  ``emis`` is only read, and every call returns new arrays.
     """
     n_classes, kmax, n_frames = emis.shape
     if n_classes != params.n_classes:
@@ -277,34 +271,39 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     n_k = kmax - kmin + 1
 
     log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
-    # score[s, k - kmin, c]: duration plus emissions of the length-k
-    # segment of class c starting at frame s
-    seg = _segment_score_table(emis)[:, kmin - 1:, :]
-    score = seg.transpose(2, 1, 0) + log_dur[None, :, None]
+    # ends[c, j, t]: summed log density of the length-(j + 1) segment of
+    # class c ending at frame t; -inf where it would start before frame 0
+    ends = np.full((n_classes, kmax, n_frames), -np.inf)
+    ends[:, 0] = emis[:, 0]
+    for j in range(1, kmax):
+        np.add(ends[:, j - 1, j - 1:-1], emis[:, j, j:], out=ends[:, j, j:])
     trans = np.exp(params.log_transition_matrix())
 
-    log_alpha = np.full((n_frames, n_k, n_classes), -np.inf)
+    # log_alpha starts as the segment scores: duration plus emissions of
+    # the length-k segment of class c ending at frame t
+    log_alpha = np.empty((n_frames, n_k, n_classes))
+    np.add(ends[:, kmin - 1:].transpose(2, 1, 0), log_dur[:, None], out=log_alpha)
     log_norm = np.full(n_frames, -np.inf)
     # entry[kmax + s, c]: unnormalized log mass entering class c by a
     # segment starting at frame s (cumulative normalizer folded in);
     # rows for s < 0 stay -inf, the row for s = T is never read
     entry = np.full((kmax + n_frames + 1, n_classes), -np.inf)
     entry[kmax] = -math.log(n_classes)
-    lengths = np.arange(n_k)
-    # start frame of each (frame, length) cell of a block, less t0
-    offsets = np.arange(kmin)[:, None] - np.arange(kmin, kmax + 1)[None, :] + 1
+    # entering[t + 1, k - kmin]: entry's row for the start frame of the
+    # length-k segment ending at frame t, a view that sees later writes
+    entering = sliding_window_view(entry, n_k, axis=0)[:, :, ::-1].transpose(0, 2, 1)
 
-    for t0 in range(kmin - 1, n_frames, kmin):
-        t1 = min(t0 + kmin, n_frames)
-        starts = t0 + offsets[: t1 - t0]  # (b, n_k)
-        rows = score[np.maximum(starts, 0), lengths] + entry[kmax + starts]
-        peak = rows.max(axis=(1, 2))
-        shift = np.where(np.isfinite(peak), peak, 0.0)
-        mass = np.exp(rows - shift[:, None, None])
-        ending = mass.sum(axis=1)  # (b, C) mass per ending class
-        total = ending.sum(axis=1)
-        reached = total > 0  # False on frames that no tiling reaches
-        with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for t0 in range(kmin - 1, n_frames, kmin):
+            t1 = min(t0 + kmin, n_frames)
+            rows = log_alpha[t0:t1]  # (b, n_k, C), normalized in place
+            rows += entering[t0 + 1:t1 + 1]
+            peak = rows.max(axis=(1, 2))
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            mass = np.exp(rows - shift[:, None, None])
+            ending = mass.sum(axis=1)  # (b, C) mass per ending class
+            total = ending.sum(axis=1)
+            reached = total > 0  # False on frames that no tiling reaches
             norm = shift + np.log(total)
             # multiply and sum apart, not through BLAS: a fused
             # multiply-add would make relabelling two classes change
@@ -312,8 +311,8 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
             into = (ending[:, :, None] / np.where(reached, total, 1.0)[:, None, None]
                     * trans).sum(axis=1)
             entry[kmax + t0 + 1: kmax + t1 + 1] = norm[:, None] + np.log(into)
-        log_norm[t0:t1] = norm
-        log_alpha[t0:t1] = rows - np.where(reached, norm, 0.0)[:, None, None]
+            log_norm[t0:t1] = norm
+            rows -= np.where(reached, norm, 0.0)[:, None, None]
 
     if not np.isfinite(log_norm[-1]):
         raise InfeasibleSequenceError(
@@ -340,9 +339,9 @@ def backward_sample(lattice: ForwardLattice, params: HsmmParams,
     t = n_frames - 1
     next_label = None
     while t >= 0:
-        weights = lattice.log_alpha[t].copy()
+        weights = lattice.log_alpha[t]
         if next_label is not None:
-            weights += log_trans[:, next_label][np.newaxis, :]
+            weights = weights + log_trans[:, next_label]
         w_max = weights.max()
         if w_max == -np.inf:
             raise InfeasibleSequenceError(

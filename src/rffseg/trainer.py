@@ -524,8 +524,8 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
         for entry, model in zip(snap["classes"], emissions.class_models):
             precision = np.asarray(entry["precision"], dtype=np.float64)
             for st, proj in zip(model.stats, entry["proj"]):
-                st.precision = precision.copy()
-                st.proj = np.asarray(proj, dtype=np.float64)
+                st.precision[...] = precision
+                st.proj[...] = proj
                 st.n_points = int(entry["n_points"])
             model.dirty = True
     else:

@@ -1,5 +1,6 @@
 """Regression statistics bookkeeping and the posterior predictive."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import rffseg.blr
 from rffseg.blr import ClassModel
 from rffseg.exact_gp import GpClassData
 from rffseg.features import sample_feature_bank
+from rffseg.trainer import emissions_from_snapshot
 
 from helpers import direct_log_table, gaussian_logpdf
 
@@ -19,6 +21,14 @@ PSI = 1.0
 def make_model(n_dims=2, n_features=20, beta=BETA, psi=PSI):
     bank = sample_feature_bank(n_features, 1.0, seed=77)
     return ClassModel(0, n_dims, n_features, beta=beta, psi=psi), bank
+
+
+def assert_bound_to_stacks(model):
+    # a rebinding would split the per-dimension reads from the stacked
+    # writes without any error
+    for d, st in enumerate(model.stats):
+        assert np.shares_memory(st.precision, model._precision[d])
+        assert np.shares_memory(st.proj, model._proj[d])
 
 
 def test_empty_model_statistics():
@@ -334,3 +344,50 @@ def test_one_factorization_per_dirty_class(monkeypatch):
     for model in models:
         model.refresh()
     assert calls == []
+
+
+def test_statistics_stay_views_of_the_stacks():
+    rng = np.random.default_rng(13)
+    model, bank = make_model(n_dims=3)
+    assert_bound_to_stacks(model)
+    segs = [rng.normal(size=(3, k)) for k in (7, 11)]
+    for seg in segs:
+        model.add_segment(bank, seg)
+    model.remove_segment(bank, segs[0])
+    assert_bound_to_stacks(model)
+    # criterion 2's pattern: statistics written from outside, in place
+    phi = bank.phi(np.arange(1.0, 6.0))
+    for st, row in zip(model.stats, rng.normal(size=(3, 5))):
+        st.precision += BETA * (phi.T @ phi)
+        st.proj += BETA * (phi.T @ row)
+        st.n_points += 5
+    model.dirty = True
+    assert_bound_to_stacks(model)
+    model.refresh()
+    # the posterior reads what was written through the views
+    want = np.linalg.solve(model.stats[0].precision, np.array([st.proj for st in model.stats]).T)
+    np.testing.assert_allclose(model._post_mean.T, want, rtol=1e-10)
+
+
+def test_statistics_restored_from_a_snapshot_stay_views():
+    rng = np.random.default_rng(14)
+    model, bank = make_model(n_dims=3)
+    model.add_segment(bank, rng.normal(size=(3, 12)))
+    snap = json.loads(json.dumps({
+        "backend": "rff", "n_dims": 3, "bank": bank.to_dict(),
+        "classes": [{"class_id": 0, "n_points": model.n_points,
+                     "precision": model.shared_precision().tolist(),
+                     "proj": [st.proj.tolist() for st in model.stats]}]}))
+    restored_bank, emissions = emissions_from_snapshot(snap, 3, BETA, PSI, 1.0)
+    restored = emissions.class_models[0]
+    assert_bound_to_stacks(restored)
+    seq = rng.normal(size=(3, 30))
+    np.testing.assert_array_equal(restored.log_emission_table(restored_bank, seq, kmax=20),
+                                  model.log_emission_table(bank, seq, kmax=20))
+    seg = rng.normal(size=(3, 9))
+    restored.add_segment(restored_bank, seg)
+    model.add_segment(bank, seg)
+    assert_bound_to_stacks(restored)
+    np.testing.assert_array_equal(restored.shared_precision(), model.shared_precision())
+    np.testing.assert_array_equal(restored.log_emission_table(restored_bank, seq, kmax=20),
+                                  model.log_emission_table(bank, seq, kmax=20))

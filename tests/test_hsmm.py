@@ -295,6 +295,23 @@ class TestBlockedRecursion:
         np.testing.assert_allclose(got.log_alpha[live], want.log_alpha[live],
                                    rtol=0, atol=1e-10)
 
+    def test_lattices_own_their_memory(self):
+        # each block is normalized in place, so a buffer reused across
+        # calls would rewrite a lattice the caller still holds
+        rng = np.random.default_rng(11)
+        tables, params = random_instance(rng, 164, 15, 30, 11, scale=4.0)
+        before = tables.copy()
+        first = forward_from_table(tables, params)
+        kept = (first.log_alpha.copy(), first.log_norm.copy())
+        second = forward_from_table(tables, params)
+        np.testing.assert_array_equal(tables, before)
+        for a, b in ((first.log_alpha, second.log_alpha), (first.log_norm, second.log_norm)):
+            assert not np.shares_memory(a, b)
+            assert not np.shares_memory(a, tables)
+        for lattice in (first, second):
+            np.testing.assert_array_equal(lattice.log_alpha, kept[0])
+            np.testing.assert_array_equal(lattice.log_norm, kept[1])
+
 
 class TestGaussianLogTable:
     @pytest.mark.parametrize("offset,spread", [(0.0, 1.0), (1e4, 0.1), (-250.0, 3.0)])

@@ -12,6 +12,12 @@ one result per run; ``--trace 0`` runs carry the end-to-end metrics and
 each bounded metric's median and quartiles on both sides and how many
 same-seed pairs the change won; the medians of the traced layer metrics;
 the BLAS thread counts that the traced runs read back; and the machine.
+
+A traced layer's time is wall seconds, so it tracks the machine's load
+as well as the code.  Each timed layer is therefore also given in
+reference-seconds (``*_ref``): every traced run's figure is divided by
+that run's ``frames_per_ref_s / frames_per_s``, the wall seconds of one
+reference-second, read from its ``trace-<workload>-seed<n>.json`` dump.
 """
 
 import argparse
@@ -25,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 LAYERS = ("hsmm.emission_s", "hsmm.backward_s", "hsmm.forward_s",
-          "blr.emission_table_s", "exact_gp.emission_table_s", "features.phi_calls",
-          "trainer.sweep_s")
+          "blr.emission_table_s", "exact_gp.emission_table_s", "blr.refresh_s",
+          "blr.stats_s", "features.phi_calls", "trainer.sweep_s")
 
 
 def read_runs(root: Path, workload: str) -> tuple[dict, dict]:
@@ -101,20 +107,25 @@ def main() -> int:
             }
         traced_seeds = sorted(set(parent_traced) & set(change_traced))
         out["traced_seeds"] = traced_seeds
-        for name in LAYERS:
-            out["layers"][name] = {
-                "unit": parent_traced[traced_seeds[0]][name]["unit"],
-                "parent": statistics.median(
-                    parent_traced[s][name]["value"] for s in traced_seeds),
-                "change": statistics.median(
-                    change_traced[s][name]["value"] for s in traced_seeds),
-            }
-        report["workloads"][workload] = out
+        # wall seconds of one reference-second, per side and traced seed
+        ref_second = {}
         for side, root in (("parent", args.parent), ("change", args.change)):
             for seed in traced_seeds:
-                dump = root / "perfbench" / "_out" / f"trace-{workload}-seed{seed}.json"
-                threads = json.loads(dump.read_text(encoding="utf-8"))["blas_threads"]
-                report["blas_threads"][f"{side} {workload} seed {seed}"] = threads
+                dump = json.loads((root / "perfbench" / "_out" /
+                                   f"trace-{workload}-seed{seed}.json").read_text(encoding="utf-8"))
+                report["blas_threads"][f"{side} {workload} seed {seed}"] = dump["blas_threads"]
+                ref_second[side, seed] = dump["frames_per_ref_s"] / dump["frames_per_s"]
+        for name in LAYERS:
+            unit = parent_traced[traced_seeds[0]][name]["unit"]
+            entry = out["layers"][name] = {"unit": unit}
+            for side, runs in (("parent", parent_traced), ("change", change_traced)):
+                entry[side] = statistics.median(runs[s][name]["value"] for s in traced_seeds)
+                if unit.startswith("s"):
+                    entry[f"{side}_ref"] = statistics.median(
+                        runs[s][name]["value"] / ref_second[side, s] for s in traced_seeds)
+            if unit.startswith("s"):
+                entry["ref_unit"] = "ref_" + unit
+        report["workloads"][workload] = out
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
