@@ -86,9 +86,6 @@ class RunConfig(TrainerConfig):
         return LoadSchema(delimiter=self.delimiter, columns=self.columns,
                           label_column=self.label_column)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def build_info() -> dict:
     info = {"package": "rffseg", "version": __version__}
@@ -208,18 +205,15 @@ def read_labels(path) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _spans_payload(store: SequenceStore, spans) -> list:
-    return [
-        {
-            "name": name,
-            "spans": [
-                {"start": s.start, "end": s.stop, "length": s.length,
-                 "label": s.label}
-                for s in seq_spans
-            ],
-        }
-        for name, seq_spans in zip(store.names, spans)
-    ]
+def _write_segmentation(out: Path, store: SequenceStore, labels, spans,
+                        header: dict) -> None:
+    """``labels.txt`` and ``spans.json`` of one labelling, both under ``header``."""
+    _write_labels(out / "labels.txt", labels, header)
+    _write_json(out / "spans.json", {**header, "sequences": [
+        {"name": name,
+         "spans": [{"start": s.start, "end": s.stop, "length": s.length,
+                    "label": s.label} for s in seq_spans]}
+        for name, seq_spans in zip(store.names, spans)]})
 
 
 def _require_tileable(store: SequenceStore, kmin: int, kmax: int) -> None:
@@ -246,7 +240,7 @@ def cmd_train(cfg: RunConfig) -> int:
     result = train_with_restarts(store.sequences, cfg)
 
     out = Path(cfg.out)
-    echo = cfg.to_dict()
+    echo = asdict(cfg)
     build = build_info()
     _write_json(out / "model.json", {
         "format_version": SNAPSHOT_VERSION,
@@ -255,13 +249,8 @@ def cmd_train(cfg: RunConfig) -> int:
         "preprocess": store.record.to_dict() if store.record else None,
         "model": snapshot_dict(result.state),
     })
-    _write_labels(out / "labels.txt", result.labels,
-                  {"config": echo, "build": build})
-    _write_json(out / "spans.json", {
-        "config": echo,
-        "build": build,
-        "sequences": _spans_payload(store, result.spans),
-    })
+    _write_segmentation(out, store, result.labels, result.spans,
+                        {"config": echo, "build": build})
     with open(out / "loglik.csv", "w", encoding="utf-8") as fh:
         fh.write("iteration,total_loglik\n")
         for i, v in enumerate(result.loglik_trace, start=1):
@@ -329,12 +318,7 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     out = Path(cfg.out)
     echo = {"segment_config": {name: getattr(cfg, name) for name in SEGMENT_FIELDS},
             "model_config": model_cfg}
-    build = build_info()
-    _write_labels(out / "labels.txt", labels, {"config": echo, "build": build})
-    _write_json(out / "spans.json", {
-        "config": echo, "build": build,
-        "sequences": _spans_payload(store, spans),
-    })
+    _write_segmentation(out, store, labels, spans, {"config": echo, "build": build_info()})
     print(f"segmented {len(store.sequences)} sequences with {model_path}; "
           f"artifacts in {out}")
     return 0
@@ -358,11 +342,10 @@ def cmd_eval(labels_path: str, truth_path: str, out_path: str | None) -> int:
 
 def cmd_synth(preset: str, out_dir: str, seed: int, overrides: dict) -> int:
     spec = quickstart_spec() if preset == "quickstart" else bench_base_spec()
-    if overrides.get("n_sequences") is not None or overrides.get("seq_length") is not None:
+    if "n_sequences" in overrides or "seq_length" in overrides:
         spec.seq_lengths = None  # custom sizes replace preset per-sequence lengths
     for name, value in overrides.items():
-        if value is not None:
-            setattr(spec, name, value)
+        setattr(spec, name, value)
     spec.validate()
     store = generate_synthetic(spec, seed=seed)
     out = Path(out_dir)
@@ -399,7 +382,6 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
     out.mkdir(parents=True, exist_ok=True)
 
     points = []
-    means = {}  # (frames, backend) -> mean seconds
     for dup in duplications:
         seqs = [s for _ in range(dup) for s in base]
         frames = base_frames * dup
@@ -411,19 +393,17 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
                 continue
             timings = []
             for trial in range(trials):
-                result = train(seqs, replace(cfg, backend=backend, restarts=1,
-                                             seed=cfg.seed + trial))
+                result = train(seqs, replace(cfg, backend=backend, seed=cfg.seed + trial))
                 timings.append(result.timings)
                 print(f"bench frames={frames} backend={backend} trial={trial} "
                       f"seconds={result.timings['total']:.3f}", flush=True)
             secs = [t["total"] for t in timings]
-            means[frames, backend] = float(np.mean(secs))
             points.append({
                 "frames": frames,
                 "backend": backend,
                 "trial_count": len(secs),
                 "trial_seconds": secs,
-                "mean_seconds": means[frames, backend],
+                "mean_seconds": float(np.mean(secs)),
                 "phase_means": {key: float(np.mean([t[key] for t in timings]))
                                 for key in timings[0]},
             })
@@ -434,13 +414,16 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
             for trial, seconds in enumerate(p["trial_seconds"]):
                 fh.write(f"{p['frames']},{p['backend']},{trial},{seconds!r}\n")
 
-    speedups = []
-    for frames in (base_frames * dup for dup in duplications):
-        if (frames, "exact-gp") in means and (frames, "rff") in means:
-            speedups.append({"frames": frames,
-                             "ratio": means[frames, "exact-gp"] / means[frames, "rff"]})
+    # the exact-gp / rff ratio at each rung that ran both
+    speedups = [{"frames": gp["frames"], "ratio": gp["mean_seconds"] / rff["mean_seconds"]}
+                for rff in points if rff["backend"] == "rff"
+                for gp in points
+                if gp["backend"] == "exact-gp" and gp["frames"] == rff["frames"]]
     report = {
-        "config": cfg.to_dict(),
+        # backend and restarts are train flags: a bench run holds their defaults
+        "config": {k: v for k, v in asdict(cfg).items()
+                   if k not in ("backend", "restarts")},
+        "backends": backends,
         "build": build_info(),
         "environment": capture_environment(threads),
         "trials": trials,
@@ -471,7 +454,6 @@ def cmd_bench(cfg: RunConfig, duplications: list[int], backends: list[str],
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--downsample", type=int, help="keep every n-th frame")
     p.add_argument("--no-normalize", action="store_false", dest="normalize")
-    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--features", type=int, dest="n_features",
                    help="number of random features M")
     p.add_argument("--lengthscale", type=float)
@@ -484,7 +466,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="Poisson mean segment length")
     p.add_argument("--alpha", type=float, help="transition smoothing")
     p.add_argument("--iterations", type=int)
-    p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--audit", action="store_true",
                    help="cross-check incremental stats after every sweep")
@@ -535,6 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
                              argument_default=argparse.SUPPRESS)
     _add_data_flags(p_train)
     _add_train_flags(p_train)
+    p_train.add_argument("--backend", choices=BACKENDS)
+    p_train.add_argument("--restarts", type=int)
     p_train.add_argument("--out", required=True, help="output directory")
 
     p_seg = sub.add_parser("segment", help="label new data with a snapshot",
@@ -550,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--out", default=None, help="report JSON path")
 
+    # no abbreviations: --backend would otherwise be read as --backends
     p_bench = sub.add_parser("bench", help="duplication-ladder timing harness",
-                             argument_default=argparse.SUPPRESS)
+                             argument_default=argparse.SUPPRESS, allow_abbrev=False)
     _add_data_flags(p_bench)
     _add_train_flags(p_bench)
     p_bench.add_argument("--out", required=True)
@@ -563,17 +547,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-gp-frames", type=int, default=None,
                          help="skip the exact-gp backend above this size")
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
+    # the sizes left out keep the preset's
+    p_synth = sub.add_parser("synth", help="generate a synthetic corpus",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--preset", choices=["quickstart", "bench-base"],
                          default="quickstart")
     p_synth.add_argument("--seed", type=int, default=42)
-    p_synth.add_argument("--sequences", type=int, default=None,
-                         dest="n_sequences")
-    p_synth.add_argument("--frames", type=int, default=None, dest="seq_length")
-    p_synth.add_argument("--dims", type=int, default=None, dest="n_dims")
-    p_synth.add_argument("--block-min", type=int, default=None)
-    p_synth.add_argument("--block-max", type=int, default=None)
+    p_synth.add_argument("--sequences", type=int, dest="n_sequences")
+    p_synth.add_argument("--frames", type=int, dest="seq_length")
+    p_synth.add_argument("--dims", type=int, dest="n_dims")
+    p_synth.add_argument("--block-min", type=int)
+    p_synth.add_argument("--block-max", type=int)
     return parser
 
 
@@ -589,7 +574,10 @@ def main(argv=None) -> int:
             return cmd_eval(args.labels, args.truth, args.out)
         if args.command == "bench":
             cfg = _runconfig_from_args(args)
-            dups = [int(v) for v in args.duplications.split(",") if v != ""]
+            try:
+                dups = [int(v) for v in args.duplications.split(",") if v != ""]
+            except ValueError:
+                dups = []
             if not dups or any(d < 1 for d in dups) or len(set(dups)) < len(dups):
                 raise ConfigError(
                     f"--duplications must list distinct positive integers, "
@@ -600,15 +588,13 @@ def main(argv=None) -> int:
             for b in backends:
                 if b not in BACKENDS:
                     raise ConfigError(f"unknown backend {b!r} in --backends")
+            if not backends or len(set(backends)) < len(backends):
+                raise ConfigError(f"--backends must list distinct backends, "
+                                  f"got {args.backends!r}")
             return cmd_bench(cfg, dups, backends, args.trials, args.max_gp_frames)
         if args.command == "synth":
-            overrides = {
-                "n_sequences": args.n_sequences,
-                "seq_length": args.seq_length,
-                "n_dims": args.n_dims,
-                "block_min": args.block_min,
-                "block_max": args.block_max,
-            }
+            overrides = {k: v for k, v in vars(args).items()
+                         if k not in ("command", "preset", "out", "seed")}
             return cmd_synth(args.preset, args.out, args.seed, overrides)
         parser.error(f"unknown command {args.command}")
     except (ConfigError, DataFormatError, InfeasibleSequenceError,

@@ -371,16 +371,14 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
         state = TrainerState(config=config, sequences=sequences, bank=bank,
                              hsmm=hsmm, emissions=emissions, assignments=[],
                              rng=rng, timer=timer)
-        for seq_idx, seq in enumerate(sequences):
+        for seq in sequences:
             spans = _random_spans(seq.shape[1], config.kmin, config.kmax, rng)
             labels = rng.integers(0, config.n_classes, size=len(spans))
             segs = [Segment(start=a, stop=b, label=int(c))
                     for (a, b), c in zip(spans, labels)]
             state.assignments.append(segs)
-            for seg in segs:
-                emissions.add(seg.label, (seq_idx, seg.start, seg.stop),
-                              seq[:, seg.start:seg.stop])
             hsmm.absorb_labels([seg.label for seg in segs])
+        _replay_assignments(emissions, sequences, state.assignments)
     return state
 
 

@@ -80,8 +80,12 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("verb", ["train", "bench"])
     def test_backend_choices_are_the_trainer_backends(self, verb):
-        backend = next(a for a in verb_parser(verb)._actions if a.dest == "backend")
-        assert tuple(backend.choices) == BACKENDS
+        # train runs one backend; bench runs each one in --backends
+        actions = {a.dest: a for a in verb_parser(verb)._actions}
+        if verb == "train":
+            assert tuple(actions["backend"].choices) == BACKENDS
+        else:
+            assert tuple(actions["backends"].default.split(",")) == BACKENDS
 
     def test_model_json_echo_keys(self, tmp_path):
         data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
@@ -162,6 +166,17 @@ class TestTrain:
         code = run(["train", "--data", tmp_path / "nope.txt",
                     "--out", tmp_path / "x", "--classes", 2])
         assert code != 0
+
+    def test_column_count_mismatch_names_both_files(self, tmp_path, capsys):
+        two, three = tmp_path / "two.txt", tmp_path / "three.txt"
+        two.write_text("0.1 0.2\n" * 30)
+        three.write_text("0.1 0.2 0.3\n" * 30)
+        assert run(["train", "--data", two, three, "--out", tmp_path / "run",
+                    "--classes", 2]) == 2
+        err = capsys.readouterr().err
+        assert "files disagree on column count" in err
+        assert str(two) in err and str(three) in err
+        assert not (tmp_path / "run").exists()
 
     def test_snapshot_bank_reloads_bit_exactly(self, tmp_path):
         data, files = synth_corpus(tmp_path)
@@ -283,9 +298,12 @@ class TestSegment:
          "transition_counts must not be negative, got -50"),
         (lambda s: s["model"]["hsmm"]["class_counts"].pop(),
          "class_counts must have shape (3,) for 3 classes, got (2,)"),
+        (lambda s: s["model"]["hsmm"].update(kmin=0), "need 1 <= kmin <= kmax, got kmin=0"),
+        (lambda s: s["model"]["hsmm"].update(alpha=0), "alpha must be > 0, got 0.0"),
+        (lambda s: s["model"]["hsmm"].update(n_classes=0), "n_classes must be >= 1, got 0"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-proj",
             "one-class-fewer", "transitions-2x2", "negative-count",
-            "class-counts-short"])
+            "class-counts-short", "kmin-0", "alpha-0", "no-classes"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff
@@ -387,6 +405,13 @@ class TestEval:
         assert run(["eval", "--labels", a, "--truth", a]) == 2
         assert f"{a}:3" in capsys.readouterr().err
 
+    def test_comments_only_file_is_refused(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("# rffseg labels\n# meta: {}\n")
+        assert run(["eval", "--labels", a, "--truth", a, "--out", tmp_path / "r.json"]) == 2
+        assert f"error: {a}: no labels found" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestThreads:
     def test_cap_is_read_back_from_both_libraries(self, monkeypatch):
@@ -456,6 +481,8 @@ class TestBench:
                        ("emission", "dp", "stats", "posterior"))
             assert core >= 0.95 * phases["total"]
         assert len(report["speedups"]) == 2
+        assert report["backends"] == list(BACKENDS)
+        assert "backend" not in report["config"] and "restarts" not in report["config"]
         csv_lines = (out / "bench.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "frames,backend,trial,seconds"
         assert len(csv_lines) == 1 + 2 * 2 * 2
@@ -479,12 +506,29 @@ class TestBench:
     def test_rejects_bad_duplications(self, tmp_path, capsys):
         data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
         # a repeated rung would be two points pooling the same trials
-        for rungs in ("0,2", "1,1"):
+        for rungs in ("0,2", "1,1", "1,a"):
             capsys.readouterr()
             assert run(["bench", "--data", *files, "--out", tmp_path / "b",
                         "--classes", 2, "--duplications", rungs]) == 2
             assert "--duplications" in capsys.readouterr().err
             assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("backends", [",", "rff,rff", "rff,exactgp"],
+                             ids=["empty", "repeated", "unknown"])
+    def test_rejects_bad_backends(self, tmp_path, capsys, backends):
+        data, files = synth_corpus(tmp_path, n_sequences=2, frames=60)
+        capsys.readouterr()
+        assert run(["bench", "--data", *files, "--out", tmp_path / "b",
+                    "--classes", 2, "--backends", backends]) == 2
+        assert "--backends" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("flag", [["--backend", "rff"], ["--restarts", "2"]])
+    def test_train_only_flags_are_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--data", "x", "--out", "y", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_non_positive_trials(self, tmp_path, capsys, trials):

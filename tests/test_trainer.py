@@ -10,6 +10,7 @@ from rffseg.features import sample_feature_bank
 from rffseg.hsmm import InfeasibleSequenceError, forward_filter, forward_from_table
 from rffseg.trainer import (
     BACKENDS,
+    AuditError,
     ConfigError,
     ExactGpEmissions,
     RffEmissions,
@@ -145,6 +146,52 @@ class TestSweep:
             state = initialize(store.sequences, config)
             for _ in range(config.iterations):
                 gibbs_sweep(state)  # audit=True checks inside
+
+
+def nudge_projection(state):
+    state.emissions.class_models[0].stats[0].proj += 1e-3
+
+
+def count_an_extra_point(state):
+    for st in state.emissions.class_models[0].stats:
+        st.n_points += 1
+
+
+def drop_a_block(state):
+    blocks = state.emissions.blocks[0]
+    del blocks[next(iter(blocks))]
+
+
+def shift_a_payload(state):
+    blocks = state.emissions.blocks[0]
+    key = next(iter(blocks))
+    blocks[key] = blocks[key] + 1.0  # a new array: the block is a view of the sequence
+
+
+def count_an_extra_transition(state):
+    state.hsmm.transition_counts[0, 1] += 1
+
+
+def count_an_extra_segment(state):
+    state.hsmm.class_counts[0] += 1
+
+
+class TestAudit:
+    @pytest.mark.parametrize("backend, damage, message", [
+        ("rff", nudge_projection, "drifted 1.000e-03 from batch rebuild"),
+        ("rff", count_an_extra_point, "class 0: n_points"),
+        ("exact-gp", drop_a_block, "class 0: tracked segment keys diverge"),
+        ("exact-gp", shift_a_payload, "class 0: segment .* payload diverges"),
+        ("rff", count_an_extra_transition, "transition counts diverge"),
+        ("rff", count_an_extra_segment, "class counts diverge"),
+    ], ids=["drift", "n-points", "keys", "payload", "transitions", "class-counts"])
+    def test_corrupted_state_is_caught(self, backend, damage, message):
+        store = small_store(n_sequences=3, seq_length=60)
+        state = initialize(store.sequences, small_config(backend=backend, audit=True))
+        gibbs_sweep(state)  # the healthy chain passes its audit
+        damage(state)
+        with pytest.raises(AuditError, match=message):
+            state.audit()
 
 
 class TestTrain:
