@@ -16,18 +16,23 @@ Conventions used throughout (0-based frame indices):
   Intelligence 2010) advances ``kmin`` frames per numpy step, since no
   segment ending inside such a block can start after its first frame;
   the mass carried across a segment boundary goes through the
-  transition matrix in the linear domain, on normalized slices.
+  transition matrix in the linear domain, on normalized slices;
+* the segment sums are built position-major, ``(kmax, C, T + 1)``, with
+  a ``-inf`` column ending every class row, so each position's running
+  sum is one contiguous add; no block reads another block's cells, so
+  the lattice is normalized once, after the last block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "InfeasibleSequenceError",
@@ -61,6 +66,17 @@ class Segment:
         return self.stop - self.start
 
 
+def _poisson_logpmf(k: int, lam: float) -> float:
+    return k * math.log(lam) - lam - math.lgamma(k + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_durations(kmin: int, kmax: int, lam: float) -> np.ndarray:
+    log_dur = np.array([_poisson_logpmf(k, lam) for k in range(kmin, kmax + 1)])
+    log_dur.flags.writeable = False
+    return log_dur
+
+
 @dataclass
 class HsmmParams:
     """Duration and transition state of the semi-Markov chain.
@@ -86,8 +102,12 @@ class HsmmParams:
         if self.kmin < 1 or self.kmax < self.kmin:
             raise ValueError(
                 f"need 1 <= kmin <= kmax, got kmin={self.kmin} kmax={self.kmax}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        for name in ("mean_length", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if not (self.kmin <= self.mean_length <= self.kmax):
             warnings.warn(
                 f"mean segment length {self.mean_length} lies outside "
@@ -112,8 +132,15 @@ class HsmmParams:
         The DP only evaluates lengths inside [kmin, kmax] and never
         renormalizes the truncated weights.
         """
-        lam = self.mean_length
-        return k * math.log(lam) - lam - math.lgamma(k + 1)
+        return _poisson_logpmf(k, self.mean_length)
+
+    def log_durations(self, kmax: int) -> np.ndarray:
+        """``duration_logpmf(k)`` for k in ``kmin..kmax``, as a read-only array.
+
+        Cached by the values of ``(kmin, kmax, mean_length)``, so every
+        call with the same window and mean shares one array.
+        """
+        return _log_durations(self.kmin, kmax, self.mean_length)
 
     def log_transition_matrix(self) -> np.ndarray:
         """(C, C) log transition probabilities, rows = source class.
@@ -252,11 +279,17 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     normalized slice sums to one and every transition probability is at
     least ``alpha / (n + C alpha)``.
 
-    The segment scores are the end-indexed running sums ``ends[c, j, t] =
-    ends[c, j - 1, t - 1] + emis[c, j, t]``, plus the duration term added
-    straight into ``log_alpha``; each block then adds its entry mass,
-    read through a sliding window over ``entry``, and is normalized in
-    place.  ``emis`` is only read, and every call returns new arrays.
+    The segment scores are the end-indexed running sums ``sums[j, c, t] =
+    sums[j - 1, c, t - 1] + emis[c, j, t]``, held position-major in a
+    ``(kmax, C, T + 1)`` buffer whose last column is ``-inf``: flattened
+    per position, the step to ``(j, t)`` is a shift by one, so each
+    position is one contiguous add.  The duration term is added straight
+    into ``log_alpha``; each block then adds its entry mass, read through
+    a strided window over ``entry``, and takes its peak, normalizer and
+    outgoing mass from those unnormalized cells.  No block reads another
+    block's cells, so each frame's normalizer is subtracted once, after
+    the last block.  ``emis`` is only read, in any memory layout, and
+    every call returns new arrays.
     """
     n_classes, kmax, n_frames = emis.shape
     if n_classes != params.n_classes:
@@ -270,19 +303,26 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     kmin = params.kmin
     n_k = kmax - kmin + 1
 
-    log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
-    # ends[c, j, t]: summed log density of the length-(j + 1) segment of
-    # class c ending at frame t; -inf where it would start before frame 0
-    ends = np.full((n_classes, kmax, n_frames), -np.inf)
-    ends[:, 0] = emis[:, 0]
+    # sums[j, c, t]: summed log density of the length-(j + 1) segment of
+    # class c ending at frame t; -inf where it would start before frame 0.
+    # Column T of every class row is -inf, so in a position's flat row
+    # the step (j - 1, t - 1) -> (j, t) is a shift by one, and a class's
+    # frame 0 reads the -inf that ends the class before it
+    sums = np.empty((kmax, n_classes, n_frames + 1))
+    sums[:, :, :n_frames] = emis.transpose(1, 0, 2)
+    sums[:, :, n_frames] = -np.inf
+    flat = sums.reshape(kmax, -1)
     for j in range(1, kmax):
-        np.add(ends[:, j - 1, j - 1:-1], emis[:, j, j:], out=ends[:, j, j:])
+        flat[j, 0] = -np.inf
+        np.add(flat[j - 1, :-1], flat[j, 1:], out=flat[j, 1:])
     trans = np.exp(params.log_transition_matrix())
 
     # log_alpha starts as the segment scores: duration plus emissions of
     # the length-k segment of class c ending at frame t
     log_alpha = np.empty((n_frames, n_k, n_classes))
-    np.add(ends[:, kmin - 1:].transpose(2, 1, 0), log_dur[:, None], out=log_alpha)
+    np.add(sums[kmin - 1:, :, :n_frames].transpose(2, 0, 1),
+           params.log_durations(kmax)[:, None], out=log_alpha)
+    cells = log_alpha.reshape(n_frames, -1)
     log_norm = np.full(n_frames, -np.inf)
     # entry[kmax + s, c]: unnormalized log mass entering class c by a
     # segment starting at frame s (cumulative normalizer folded in);
@@ -291,28 +331,32 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     entry[kmax] = -math.log(n_classes)
     # entering[t + 1, k - kmin]: entry's row for the start frame of the
     # length-k segment ending at frame t, a view that sees later writes
-    entering = sliding_window_view(entry, n_k, axis=0)[:, :, ::-1].transpose(0, 2, 1)
+    step, col = entry.strides
+    entering = as_strided(entry[kmax - kmin:], shape=(n_frames + 1, n_k, n_classes),
+                          strides=(step, -step, col), writeable=False)
 
     with np.errstate(divide="ignore"):
         for t0 in range(kmin - 1, n_frames, kmin):
             t1 = min(t0 + kmin, n_frames)
-            rows = log_alpha[t0:t1]  # (b, n_k, C), normalized in place
+            rows = log_alpha[t0:t1]  # (b, n_k, C)
             rows += entering[t0 + 1:t1 + 1]
-            peak = rows.max(axis=(1, 2))
+            peak = cells[t0:t1].max(axis=1)
             shift = np.where(np.isfinite(peak), peak, 0.0)
             mass = np.exp(rows - shift[:, None, None])
             ending = mass.sum(axis=1)  # (b, C) mass per ending class
             total = ending.sum(axis=1)
             reached = total > 0  # False on frames that no tiling reaches
             norm = shift + np.log(total)
-            # multiply and sum apart, not through BLAS: a fused
-            # multiply-add would make relabelling two classes change
-            # the lattice in its last bit
-            into = (ending[:, :, None] / np.where(reached, total, 1.0)[:, None, None]
-                    * trans).sum(axis=1)
+            # products then a sum over the source class, in its order: a
+            # BLAS product would fuse them, and relabelling two classes
+            # would then change the lattice in its last bit
+            into = np.einsum("bi,ij->bj",
+                             ending / np.where(reached, total, 1.0)[:, None], trans)
             entry[kmax + t0 + 1: kmax + t1 + 1] = norm[:, None] + np.log(into)
             log_norm[t0:t1] = norm
-            rows -= np.where(reached, norm, 0.0)[:, None, None]
+    # no block reads another block's cells, so each frame is normalized
+    # once the last block is done; unreached frames keep their -inf
+    log_alpha -= np.where(np.isfinite(log_norm), log_norm, 0.0)[:, None, None]
 
     if not np.isfinite(log_norm[-1]):
         raise InfeasibleSequenceError(

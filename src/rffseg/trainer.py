@@ -9,6 +9,7 @@ backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -90,10 +91,12 @@ class TrainerConfig:
         if self.kmin > self.kmax:
             raise ConfigError(
                 f"kmin must not exceed kmax, got kmin={self.kmin} kmax={self.kmax}")
-        if self.mean_length <= 0:
-            raise ConfigError(f"mean_length must be > 0, got {self.mean_length}")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        for name in ("mean_length", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.restarts < 1:
@@ -389,11 +392,13 @@ def gibbs_sweep(state: TrainerState) -> TrainerState:
     if config.shuffle_sequences:
         state.rng.shuffle(order)
     sweep_loglik = 0.0
+    # each visit's bookkeeping sits inside a phase, so that the phases
+    # account for the whole visit however fast the DP gets
     for seq_idx in order:
-        seq_idx = int(seq_idx)
-        seq = state.sequences[seq_idx]
-        old = state.assignments[seq_idx]
         with state.timer.phase("stats"):
+            seq_idx = int(seq_idx)
+            seq = state.sequences[seq_idx]
+            old = state.assignments[seq_idx]
             for seg in old:
                 state.emissions.remove(seg.label, (seq_idx, seg.start, seg.stop),
                                        seq[:, seg.start:seg.stop])
@@ -403,13 +408,13 @@ def gibbs_sweep(state: TrainerState) -> TrainerState:
         lattice = forward_filter(seq, state.emissions, state.hsmm, timer=state.timer)
         with state.timer.phase("dp"):
             new = backward_sample(lattice, state.hsmm, state.rng)
+            sweep_loglik += lattice.total_loglik
         with state.timer.phase("stats"):
             for seg in new:
                 state.emissions.add(seg.label, (seq_idx, seg.start, seg.stop),
                                     seq[:, seg.start:seg.stop])
             state.hsmm.absorb_labels([seg.label for seg in new])
-        state.assignments[seq_idx] = new
-        sweep_loglik += lattice.total_loglik
+            state.assignments[seq_idx] = new
     state.loglik_trace.append(sweep_loglik)
     if config.audit:
         state.audit()

@@ -162,6 +162,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "kmin" in err and "kmax" in err
 
+    @pytest.mark.parametrize("flag, value", [("--mean-length", "nan"), ("--alpha", "inf")])
+    def test_non_finite_chain_setting_names_the_field(self, tmp_path, capsys, flag, value):
+        data, files = synth_corpus(tmp_path)
+        assert run(["train", "--data", *files, "--out", tmp_path / "x", *TRAIN_FLAGS,
+                    flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite, got {value}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.txt",
                     "--out", tmp_path / "x", "--classes", 2])
@@ -301,9 +310,17 @@ class TestSegment:
         (lambda s: s["model"]["hsmm"].update(kmin=0), "need 1 <= kmin <= kmax, got kmin=0"),
         (lambda s: s["model"]["hsmm"].update(alpha=0), "alpha must be > 0, got 0.0"),
         (lambda s: s["model"]["hsmm"].update(n_classes=0), "n_classes must be >= 1, got 0"),
+        (lambda s: s["model"]["hsmm"].update(mean_length=0), "mean_length must be > 0, got 0.0"),
+        (lambda s: s["model"]["hsmm"].update(mean_length=float("nan")),
+         "mean_length must be finite, got nan"),
+        (lambda s: s["model"]["hsmm"].update(mean_length=float("inf")),
+         "mean_length must be finite, got inf"),
+        (lambda s: s["model"]["hsmm"].update(alpha=float("nan")), "alpha must be finite, got nan"),
+        (lambda s: s["model"]["hsmm"].update(alpha=float("inf")), "alpha must be finite, got inf"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-proj",
             "one-class-fewer", "transitions-2x2", "negative-count",
-            "class-counts-short", "kmin-0", "alpha-0", "no-classes"])
+            "class-counts-short", "kmin-0", "alpha-0", "no-classes", "mean-length-0",
+            "mean-length-nan", "mean-length-inf", "alpha-nan", "alpha-inf"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff

@@ -56,6 +56,30 @@ class TestDuration:
         with pytest.warns(UserWarning):
             make_params(kmin=5, kmax=10, mean_length=20.0)
 
+    @pytest.mark.parametrize("field", ["mean_length", "alpha"])
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "must be > 0, got 0.0"), (-2.0, "must be > 0, got -2.0"),
+        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf")])
+    def test_rejects_non_positive_or_non_finite_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            make_params(**{field: value})
+
+    def test_duration_vector_is_cached_read_only_and_exact(self):
+        params = make_params(kmin=15, kmax=30, mean_length=20.0)
+        log_dur = params.log_durations(30)
+        assert not log_dur.flags.writeable
+        with pytest.raises(ValueError):
+            log_dur[0] = 0.0
+        assert log_dur.tolist() == [params.duration_logpmf(k) for k in range(15, 31)]
+        assert params.log_durations(30) is log_dur  # one array per window and mean
+        # a shorter sequence's window, then a changed mean, give new vectors
+        assert params.log_durations(22).tolist() == log_dur[:8].tolist()
+        params.mean_length = 17.5
+        changed = params.log_durations(30)
+        assert changed.tolist() == [params.duration_logpmf(k) for k in range(15, 31)]
+        assert changed.tolist() != log_dur.tolist()
+
 
 class TestTransition:
     def test_symmetric_prior_is_uniform(self):
@@ -273,14 +297,18 @@ class TestBlockedRecursion:
         with pytest.raises(InfeasibleSequenceError):
             forward_from_table(tables, params)
 
-    @pytest.mark.parametrize("n_frames,kmin,kmax", [
-        (164, 15, 30), (163, 15, 30), (171, 15, 30), (100, 15, 20), (64, 1, 5)])
-    def test_matches_frame_by_frame_recursion(self, n_frames, kmin, kmax):
+    @pytest.mark.parametrize("n_frames,kmin,kmax,n_classes", [
+        (164, 15, 30, 11), (163, 15, 30, 11), (171, 15, 30, 11), (100, 15, 20, 11),
+        (64, 1, 5, 11), (164, 15, 30, 1), (27, 5, 30, 11)],
+        ids=["164-15-30", "163-15-30", "171-15-30", "100-15-20", "64-1-5",
+             "164-15-30-C1", "27-5-30"])
+    def test_matches_frame_by_frame_recursion(self, n_frames, kmin, kmax, n_classes):
         # the shapes of the benchmark (C=11), with emissions on the scale
         # of 8-dimensional densities; (100, 15, 20) leaves frames 20..29
-        # unreachable
+        # unreachable, C=1 has a single class row, and T=27 < kmax
+        # truncates the table to T positions
         rng = np.random.default_rng([n_frames, kmin, kmax])
-        tables, params = random_instance(rng, n_frames, kmin, kmax, 11, scale=4.0)
+        tables, params = random_instance(rng, n_frames, kmin, kmax, n_classes, scale=4.0)
         got = forward_from_table(tables, params)
         want = reference_forward(tables, params)
         np.testing.assert_array_equal(np.isneginf(got.log_alpha),
@@ -311,6 +339,22 @@ class TestBlockedRecursion:
         for lattice in (first, second):
             np.testing.assert_array_equal(lattice.log_alpha, kept[0])
             np.testing.assert_array_equal(lattice.log_norm, kept[1])
+
+    def test_table_layout_does_not_change_the_lattice(self):
+        # a Fortran-ordered copy and a strided view into a wider table hold
+        # the same values as the contiguous table, so give the same bits
+        rng = np.random.default_rng(12)
+        tables, params = random_instance(rng, 164, 15, 30, 11, scale=4.0)
+        want = forward_from_table(tables, params)
+        wider = np.full((11, 32, 2 * 164 + 1), np.nan)
+        wider[:, 1:31, 1::2] = tables
+        for layout in (np.asfortranarray(tables), wider[:, 1:31, 1::2]):
+            before = layout.copy()
+            got = forward_from_table(layout, params)
+            np.testing.assert_array_equal(layout, before)
+            assert got.log_alpha.tobytes() == want.log_alpha.tobytes()
+            assert got.log_norm.tobytes() == want.log_norm.tobytes()
+        assert np.isnan(wider[:, 0]).all() and np.isnan(wider[:, :, ::2]).all()
 
 
 class TestGaussianLogTable:

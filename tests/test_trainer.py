@@ -63,6 +63,14 @@ class TestConfig:
             with pytest.raises(ConfigError, match=field):
                 cfg.validate()
 
+    def test_rejects_non_finite_mean_length_and_alpha(self):
+        for field in ("mean_length", "alpha"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                cfg = small_config()
+                setattr(cfg, field, value)
+                with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value}$"):
+                    cfg.validate()
+
 
 class TestInitialize:
     def test_minimum_length_sequence_gets_single_segment(self):

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Time the lattice layers of two checkouts at one shape, and check their bits.
+
+    python3 tools/layer_timing.py --parent ../parent --change .
+
+Each checkout's ``src/rffseg`` is imported as a package of its own.  The
+tool first runs ``forward_from_table`` (then ``backward_sample`` on its
+lattice) and ``gaussian_log_table`` from both sides on random inputs of
+assorted shapes, C=1 included, and compares the results byte for byte:
+``log_alpha``, ``log_norm``, the sampled spans, the frame tables, and
+the error of an untileable table.  Any difference is printed and the
+exit status is 1.
+
+Then it times the three layers at the benchmark's shape (C=11 classes,
+D=8 dimensions, lengths K in [15, 30], T=164 frames).  Each round times
+``CALLS`` calls of one side and then of the other, alternating which side
+goes first, so load on the machine falls on both alike.  The report
+gives each side's median microseconds per call, the median of the
+rounds' change/parent ratios, and the rounds the change was faster in.
+Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the
+benchmark does.
+"""
+
+import argparse
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+C, D, KMIN, KMAX, T = 11, 8, 15, 30, 164
+ROUNDS = 60
+CALLS = 20
+CHECKS = 400  # random shapes compared bit for bit
+
+
+def load_hsmm(checkout: Path, name: str):
+    """``<checkout>/src/rffseg`` imported as package ``name``; its hsmm module."""
+    init = checkout.resolve() / "src" / "rffseg" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.hsmm")
+
+
+def make_params(hsmm, rng, n_classes, kmin, kmax):
+    return hsmm.HsmmParams(
+        n_classes=n_classes, kmin=kmin, kmax=kmax,
+        mean_length=float(rng.uniform(kmin, kmax)), alpha=float(rng.uniform(0.3, 2.0)),
+        transition_counts=rng.integers(0, 6, size=(n_classes, n_classes)))
+
+
+def lattice_outcome(hsmm, table, params_seed, kmin, kmax, draw_seed):
+    """Everything a forward pass and three backward draws give, as bytes."""
+    rng = np.random.default_rng(params_seed)
+    params = make_params(hsmm, rng, table.shape[0], kmin, kmax)
+    try:
+        lattice = hsmm.forward_from_table(table, params)
+    except hsmm.InfeasibleSequenceError as exc:
+        return ("infeasible", str(exc))
+    draws = np.random.default_rng(draw_seed)
+    spans = [[(s.start, s.stop, s.label) for s in hsmm.backward_sample(lattice, params, draws)]
+             for _ in range(3)]
+    return (lattice.log_alpha.shape, lattice.log_alpha.tobytes(),
+            lattice.log_norm.tobytes(), spans)
+
+
+def check_bits(parent, change) -> int:
+    """Compare both sides on ``CHECKS`` random inputs; return the differences."""
+    rng = np.random.default_rng(2024)
+    differing = feasible = 0
+    for case in range(CHECKS):
+        n_classes = 1 if case % 8 == 0 else int(rng.integers(1, 14))
+        kmin = int(rng.integers(1, 18))
+        kmax = int(rng.integers(kmin, 34))
+        n_frames = int(rng.integers(kmin, 220))
+        scale = (1.0, 4.0, 30.0)[case % 3]
+        table = rng.normal(-1.0, scale, size=(n_classes, min(kmax, n_frames), n_frames))
+        seeds = rng.integers(2**32, size=2)
+        want = lattice_outcome(parent, table, seeds[0], kmin, kmax, seeds[1])
+        got = lattice_outcome(change, table, seeds[0], kmin, kmax, seeds[1])
+        feasible += want[0] != "infeasible"
+        if got != want:
+            differing += 1
+            print(f"forward/backward differ: C={n_classes} kmin={kmin} kmax={kmax} "
+                  f"T={n_frames} scale={scale}")
+        means = rng.normal(size=(n_classes, min(kmax, n_frames), D))
+        variances = rng.uniform(0.05, 0.5, size=means.shape[:2])
+        seq = rng.normal(size=(D, n_frames))
+        if (parent.gaussian_log_table(means, variances, seq).tobytes()
+                != change.gaussian_log_table(means, variances, seq).tobytes()):
+            differing += 1
+            print(f"gaussian_log_table differs: C={n_classes} kmax={kmax} T={n_frames}")
+    print(f"bits: {CHECKS - differing} of {CHECKS} random inputs equal "
+          f"({feasible} feasible lattices, {CHECKS - feasible} untileable)")
+    return differing
+
+
+def layer_calls(hsmm):
+    """The three layers at the benchmark shape, each as a no-argument call."""
+    rng = np.random.default_rng(7)
+    means = rng.normal(size=(C, KMAX, D))
+    variances = rng.uniform(0.05, 0.5, size=(C, KMAX))
+    seq = rng.normal(size=(D, T))
+    params = make_params(hsmm, rng, C, KMIN, KMAX)
+    table = hsmm.gaussian_log_table(means, variances, seq)
+    lattice = hsmm.forward_from_table(table, params)
+    draws = np.random.default_rng(8)
+    return {
+        "forward_from_table": lambda: hsmm.forward_from_table(table, params),
+        "backward_sample": lambda: hsmm.backward_sample(lattice, params, draws),
+        "gaussian_log_table": lambda: hsmm.gaussian_log_table(means, variances, seq),
+    }
+
+
+def per_call_us(call) -> float:
+    start = time.perf_counter()
+    for _ in range(CALLS):
+        call()
+    return (time.perf_counter() - start) / CALLS * 1e6
+
+
+def time_layers(parent, change) -> None:
+    sides = {"parent": layer_calls(parent), "change": layer_calls(change)}
+    for name in sides["parent"]:
+        for calls in sides.values():
+            calls[name]()  # warm caches
+        times = {"parent": [], "change": []}
+        for r in range(ROUNDS):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for side in order:
+                times[side].append(per_call_us(sides[side][name]))
+        ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+        wins = sum(r < 1.0 for r in ratios)
+        print(f"{name}: parent {statistics.median(times['parent']):.1f} us, "
+              f"change {statistics.median(times['change']):.1f} us, "
+              f"change/parent {statistics.median(ratios):.3f} "
+              f"(change faster in {wins}/{ROUNDS} rounds)")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout root")
+    parser.add_argument("--change", type=Path, required=True, help="checkout root")
+    args = parser.parse_args()
+    parent = load_hsmm(args.parent, "parent_rffseg")
+    change = load_hsmm(args.change, "change_rffseg")
+    differing = check_bits(parent, change)
+    print(f"shape: C={C} D={D} K=[{KMIN}, {KMAX}] T={T}, {ROUNDS} rounds of {CALLS} calls")
+    time_layers(parent, change)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
