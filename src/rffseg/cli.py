@@ -31,6 +31,7 @@ from .data import (
     evaluate_nhd,
     generate_synthetic,
     load_sequences,
+    parse_label,
     preprocess,
     quickstart_spec,
 )
@@ -197,7 +198,7 @@ def read_labels(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(int(float(line)))
+                values.append(parse_label(line))
             except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad label: {exc}") from exc
     if not values:

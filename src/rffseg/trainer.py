@@ -80,27 +80,25 @@ class TrainerConfig:
             raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
         if self.n_features < 1:
             raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
-        if self.lengthscale <= 0:
-            raise ConfigError(f"lengthscale must be > 0, got {self.lengthscale}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.psi <= 0:
-            raise ConfigError(f"psi must be > 0, got {self.psi}")
+        for name in ("lengthscale", "beta", "psi", "mean_length", "alpha"):
+            check_positive_finite(name, getattr(self, name), ConfigError)
         if self.kmin < 1:
             raise ConfigError(f"kmin must be >= 1, got {self.kmin}")
         if self.kmin > self.kmax:
             raise ConfigError(
                 f"kmin must not exceed kmax, got kmin={self.kmin} kmax={self.kmax}")
-        for name in ("mean_length", "alpha"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+
+
+def check_positive_finite(name: str, value: float, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is finite and > 0."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise error(f"{name} must be > 0, got {value}")
 
 
 class PhaseTimer:
@@ -512,7 +510,8 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     An exact-gp class is split back into its segments wherever a run of
     positions restarts at 1.  Raises ``ValueError`` for a backend not in
     ``BACKENDS``, when the snapshot was trained on a different number of
-    dimensions than ``n_dims``, or when a class's positions are not such
+    dimensions than ``n_dims``, when ``beta``, ``psi`` or ``lengthscale``
+    is not finite and positive, or when a class's positions are not such
     runs.
     """
     if snap["backend"] not in BACKENDS:
@@ -521,6 +520,8 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     if int(snap["n_dims"]) != n_dims:
         raise ValueError(
             f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")
+    for name, value in (("beta", beta), ("psi", psi), ("lengthscale", lengthscale)):
+        check_positive_finite(name, value)
     bank = FeatureBank.from_dict(snap["bank"])
     if snap["backend"] == "rff":
         emissions = RffEmissions(bank, len(snap["classes"]), n_dims, beta, psi)

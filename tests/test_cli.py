@@ -162,7 +162,9 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "kmin" in err and "kmax" in err
 
-    @pytest.mark.parametrize("flag, value", [("--mean-length", "nan"), ("--alpha", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--mean-length", "nan"), ("--alpha", "inf"),
+                                             ("--lengthscale", "inf"), ("--beta", "nan"),
+                                             ("--psi", "inf")])
     def test_non_finite_chain_setting_names_the_field(self, tmp_path, capsys, flag, value):
         data, files = synth_corpus(tmp_path)
         assert run(["train", "--data", *files, "--out", tmp_path / "x", *TRAIN_FLAGS,
@@ -317,10 +319,20 @@ class TestSegment:
          "mean_length must be finite, got inf"),
         (lambda s: s["model"]["hsmm"].update(alpha=float("nan")), "alpha must be finite, got nan"),
         (lambda s: s["model"]["hsmm"].update(alpha=float("inf")), "alpha must be finite, got inf"),
+        (lambda s: s["config"].update(beta=float("nan")), "beta must be finite, got nan"),
+        (lambda s: s["config"].update(beta=float("inf")), "beta must be finite, got inf"),
+        (lambda s: s["config"].update(psi=float("nan")), "psi must be finite, got nan"),
+        (lambda s: s["config"].update(psi=float("inf")), "psi must be finite, got inf"),
+        (lambda s: s["config"].update(lengthscale=float("nan")),
+         "lengthscale must be finite, got nan"),
+        (lambda s: s["config"].update(lengthscale=float("inf")),
+         "lengthscale must be finite, got inf"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-proj",
             "one-class-fewer", "transitions-2x2", "negative-count",
             "class-counts-short", "kmin-0", "alpha-0", "no-classes", "mean-length-0",
-            "mean-length-nan", "mean-length-inf", "alpha-nan", "alpha-inf"])
+            "mean-length-nan", "mean-length-inf", "alpha-nan", "alpha-inf",
+            "beta-nan", "beta-inf", "psi-nan", "psi-inf", "lengthscale-nan",
+            "lengthscale-inf"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff
@@ -421,6 +433,13 @@ class TestEval:
         assert str(exc.value).startswith(f"{a}:3: bad label")
         assert run(["eval", "--labels", a, "--truth", a]) == 2
         assert f"{a}:3" in capsys.readouterr().err
+
+    def test_label_outside_int64_names_the_line(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("# rffseg labels\n0\n1e300\n")
+        assert run(["eval", "--labels", a, "--truth", a]) == 2
+        assert (f"error: {a}:3: bad label: 1e300 is outside the int64 range"
+                in capsys.readouterr().err)
 
     def test_comments_only_file_is_refused(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -1,7 +1,11 @@
 """Loading, preprocessing, synthetic generation, and NHD evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import rffseg.data as data_module
 from rffseg.data import (
@@ -60,6 +64,21 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"bad\.txt:2: bad label"):
             load_sequences([path], LoadSchema(label_column=2))
 
+    @pytest.mark.parametrize("label", ["1e300", "1e19", "-9.3e18"])
+    def test_label_outside_int64_reports_line(self, tmp_path, label):
+        path = write(tmp_path / "bad.txt", f"1 2 0\n3 4 {label}\n")
+        with pytest.raises(DataFormatError,
+                           match=rf"bad\.txt:2: bad label column: {label} is outside the int64"):
+            load_sequences([path], LoadSchema(label_column=2))
+
+    @pytest.mark.parametrize("text", ["", "# header\n\n  # note\n"], ids=["empty", "comments"])
+    def test_file_without_rows_raises_no_warning(self, tmp_path, text):
+        path = write(tmp_path / "none.txt", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"none\.txt: no data rows"):
+                load_sequences([path])
+
     def test_label_column_attached_with_matching_length(self, tmp_path):
         path = write(tmp_path / "seq.txt", "0.5 1.5 0\n0.25 2.5 1\n1.0 0.0 1\n")
         store = load_sequences([path], LoadSchema(label_column=2))
@@ -105,6 +124,96 @@ class TestLoader:
         path = write(tmp_path / "seq.csv", "1,2\n3,4\n")
         store = load_sequences([path], LoadSchema(delimiter=","))
         np.testing.assert_allclose(store.sequences[0], [[1, 3], [2, 4]])
+
+
+def read_outcome(reader, path, schema):
+    """A reader's arrays with their layout, or its error message."""
+    try:
+        parsed = reader(path, schema)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    if parsed is None:
+        return None
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.strides, a.tobytes())
+                 for a in parsed)
+
+
+NUMBERS = st.one_of(st.floats(-1e3, 1e3).map(lambda v: f"{v:.17g}"),
+                    st.integers(-50, 50).map(str))
+CELLS = st.one_of(
+    NUMBERS,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e400", "1e-400", "1_0", "\u0661\u0662",
+                     "oops", "", "+.5", "-0", "1e300", "9.3e18", "-9.3e18", "2.7", "-3.5"]))
+
+
+@st.composite
+def delimited_files(draw):
+    """The bytes of a small input file and the schema to read it with.
+
+    Each kind of noise (odd cells, ragged rows, trailing comments, odd
+    padding) is switched on for a quarter of the files, so many files
+    hold only plain numbers or one kind of noise.
+    """
+    odd_cells, ragged, trailing, odd_pads = (draw(st.integers(0, 3)) == 0 for _ in range(4))
+    delimiter = draw(st.sampled_from([None, ","]))
+    n_cells = draw(st.integers(1, 4))
+    label_column = draw(st.one_of(st.none(), st.integers(-1, n_cells)))
+    columns = draw(st.one_of(st.none(), st.lists(st.integers(-2, n_cells), min_size=1,
+                                                  max_size=3)))
+    pad = st.sampled_from(["", "", " ", "\t"] + (["\xa0", "\x1c"] if odd_pads else []))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(pad))
+        elif kind == "comment":
+            lines.append(draw(pad) + "# " + draw(st.sampled_from(["note", "1 2", "a # b"])))
+        else:
+            width = n_cells + (draw(st.sampled_from([0, -1, 1])) if ragged else 0)
+            cells = [draw(CELLS if odd_cells else NUMBERS) for _ in range(max(width, 1))]
+            sep = "," if delimiter == "," else " "
+            line = draw(pad) + (draw(pad) + sep + draw(pad)).join(cells) + draw(pad)
+            if trailing and draw(st.booleans()):
+                line += " # trailing"
+            lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text.encode("utf-8"), LoadSchema(delimiter, columns, label_column)
+
+
+class TestFastReader:
+    """``np.loadtxt`` parses a file only where the line reader would agree."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=delimited_files())
+    @example(case=(b"1 2 # note\n", LoadSchema()))
+    @example(case=(b"1\x1c,2\n", LoadSchema(delimiter=",")))
+    @example(case=(b"1 nan\n", LoadSchema()))
+    @example(case=(b"1 2 1e300\n", LoadSchema(label_column=2)))
+    @example(case=(b"1 2\n", LoadSchema(label_column=2)))
+    @example(case=(b"1 2\n3 4\n", LoadSchema(columns=[1, 0], label_column=0)))
+    def test_agrees_with_line_reader(self, tmp_path, case):
+        content, schema = case
+        path = tmp_path / "seq.txt"
+        path.write_bytes(content)
+        want = read_outcome(data_module._read_lines, path, schema)
+        fast = read_outcome(data_module._read_fast, path, schema)
+        assert fast is None or fast == want
+        assert read_outcome(data_module._parse_file, path, schema) == want
+
+    @pytest.mark.parametrize("text, schema", [
+        ("0.5 -1.25 0\n2.0 3.5 1\n", LoadSchema(label_column=2)),
+        ("# header\r\n\r\n  # note\r\n1 2\r\n3 4\r\n", LoadSchema()),
+        ("1, 2,x\n3 ,4,y\n", LoadSchema(delimiter=",", columns=[1, 0])),
+        ("1 2 -7.9\n3 4 9.2e18\n", LoadSchema(label_column=-1)),
+    ], ids=["label", "comments-crlf", "csv-unused-text", "last-column-label"])
+    def test_clean_files_take_the_fast_path(self, tmp_path, text, schema):
+        path = write(tmp_path / "seq.txt", text)
+        fast = read_outcome(data_module._read_fast, path, schema)
+        assert fast is not None
+        assert fast == read_outcome(data_module._read_lines, path, schema)
 
 
 class TestPreprocess:

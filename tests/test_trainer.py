@@ -64,7 +64,7 @@ class TestConfig:
                 cfg.validate()
 
     def test_rejects_non_finite_mean_length_and_alpha(self):
-        for field in ("mean_length", "alpha"):
+        for field in ("mean_length", "alpha", "lengthscale", "beta", "psi"):
             for value in (float("nan"), float("inf"), float("-inf")):
                 cfg = small_config()
                 setattr(cfg, field, value)

@@ -32,7 +32,7 @@ import numpy as np
 
 LAYERS = ("hsmm.emission_s", "hsmm.backward_s", "hsmm.forward_s",
           "blr.emission_table_s", "exact_gp.emission_table_s", "blr.refresh_s",
-          "blr.stats_s", "features.phi_calls", "trainer.sweep_s")
+          "blr.stats_s", "features.phi_calls", "trainer.sweep_s", "data.load_s")
 
 
 def read_runs(root: Path, workload: str) -> tuple[dict, dict]:

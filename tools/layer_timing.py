@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the lattice layers of two checkouts at one shape, and check their bits.
+"""Time the lattice layers and the loader of two checkouts, and check their bits.
 
     python3 tools/layer_timing.py --parent ../parent --change .
 
@@ -19,12 +19,24 @@ gives each side's median microseconds per call, the median of the
 rounds' change/parent ratios, and the rounds the change was faster in.
 Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the
 benchmark does.
+
+Last comes the loader.  The change's ``synth`` verb writes the
+benchmark's held-out shape (``--preset bench-base --sequences 240
+--frames 164``) to a temporary directory, and both sides'
+``load_sequences`` read it with the label column attached.  Their
+sequences and labels are compared byte for byte, with shape, dtype and
+strides; a difference sets the exit status to 1.  Then ``LOAD_ROUNDS``
+interleaved rounds each time one load of all 240 files per side, and the
+report gives the same medians, ratio and wins as for the layers.
 """
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,17 +46,19 @@ C, D, KMIN, KMAX, T = 11, 8, 15, 30, 164
 ROUNDS = 60
 CALLS = 20
 CHECKS = 400  # random shapes compared bit for bit
+HELDOUT = ("--preset", "bench-base", "--sequences", "240", "--frames", "164")
+LOAD_ROUNDS = 10
 
 
-def load_hsmm(checkout: Path, name: str):
-    """``<checkout>/src/rffseg`` imported as package ``name``; its hsmm module."""
+def load_package(checkout: Path, name: str):
+    """``<checkout>/src/rffseg`` imported as package ``name``."""
     init = checkout.resolve() / "src" / "rffseg" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.hsmm")
+    return package
 
 
 def make_params(hsmm, rng, n_classes, kmin, kmax):
@@ -124,22 +138,60 @@ def per_call_us(call) -> float:
     return (time.perf_counter() - start) / CALLS * 1e6
 
 
+def compare_times(name, measure, rounds, unit) -> None:
+    """Alternate ``measure(side)`` over ``rounds`` rounds and print the comparison."""
+    times = {"parent": [], "change": []}
+    for r in range(rounds):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        for side in order:
+            times[side].append(measure(side))
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    wins = sum(r < 1.0 for r in ratios)
+    print(f"{name}: parent {statistics.median(times['parent']):.1f} {unit}, "
+          f"change {statistics.median(times['change']):.1f} {unit}, "
+          f"change/parent {statistics.median(ratios):.3f} "
+          f"(change faster in {wins}/{rounds} rounds)")
+
+
 def time_layers(parent, change) -> None:
     sides = {"parent": layer_calls(parent), "change": layer_calls(change)}
     for name in sides["parent"]:
         for calls in sides.values():
             calls[name]()  # warm caches
-        times = {"parent": [], "change": []}
-        for r in range(ROUNDS):
-            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-            for side in order:
-                times[side].append(per_call_us(sides[side][name]))
-        ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-        wins = sum(r < 1.0 for r in ratios)
-        print(f"{name}: parent {statistics.median(times['parent']):.1f} us, "
-              f"change {statistics.median(times['change']):.1f} us, "
-              f"change/parent {statistics.median(ratios):.3f} "
-              f"(change faster in {wins}/{ROUNDS} rounds)")
+        compare_times(name, lambda side: per_call_us(sides[side][name]), ROUNDS, "us")
+
+
+def loaded_bytes(data, paths, label_column):
+    """Every array ``load_sequences`` returns, with its layout, as bytes."""
+    store = data.load_sequences(paths, data.LoadSchema(label_column=label_column))
+    return [(a.shape, a.dtype.str, a.strides, a.tobytes())
+            for a in store.sequences + store.labels]
+
+
+def time_loader(parent, change) -> int:
+    """Compare and time both sides' ``load_sequences``; return the differences."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = change.cli.main(["synth", *HELDOUT, "--out", tmp])
+        if code != 0:
+            raise SystemExit(f"synth exited with {code}")
+        paths = sorted(Path(tmp).glob("synthetic-*.txt"))
+        label_column = change.data.bench_base_spec().n_dims
+        want = loaded_bytes(parent.data, paths, label_column)
+        got = loaded_bytes(change.data, paths, label_column)
+        differing = sum(w != g for w, g in zip(want, got)) + abs(len(want) - len(got))
+        print(f"loader: {len(paths)} files, {len(want) - differing} of {len(want)} "
+              f"arrays equal")
+        sides = {"parent": parent.data, "change": change.data}
+
+        def load_ms(side):
+            data = sides[side]
+            start = time.perf_counter()
+            data.load_sequences(paths, data.LoadSchema(label_column=label_column))
+            return (time.perf_counter() - start) * 1e3
+
+        compare_times("load_sequences", load_ms, LOAD_ROUNDS, "ms")
+    return differing
 
 
 def main() -> int:
@@ -147,11 +199,15 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout root")
     parser.add_argument("--change", type=Path, required=True, help="checkout root")
     args = parser.parse_args()
-    parent = load_hsmm(args.parent, "parent_rffseg")
-    change = load_hsmm(args.change, "change_rffseg")
-    differing = check_bits(parent, change)
+    parent = load_package(args.parent, "parent_rffseg")
+    change = load_package(args.change, "change_rffseg")
+    for package in (parent, change):
+        for module in ("hsmm", "data", "cli"):
+            importlib.import_module(f"{package.__name__}.{module}")
+    differing = check_bits(parent.hsmm, change.hsmm)
     print(f"shape: C={C} D={D} K=[{KMIN}, {KMAX}] T={T}, {ROUNDS} rounds of {CALLS} calls")
-    time_layers(parent, change)
+    time_layers(parent.hsmm, change.hsmm)
+    differing += time_loader(parent, change)
     return 1 if differing else 0
 
 
