@@ -3,9 +3,10 @@
 Each segment class keeps one set of regression sufficient statistics per
 output dimension, stored as views of one precision stack and one
 projection stack.  Segments can be absorbed and released incrementally
-(rank-k updates), and the Gaussian posterior predictive is recovered on
-demand by factorizing the accumulated precision matrix.  That precision
-does not depend on the dimension, so it is factorized once per class.
+(rank-k updates).  The precision does not depend on the dimension, so a
+class's Gaussian posterior predictive is one Cholesky factorization of
+it and one triangular solve against the projections and the features
+together (:func:`posterior_predictive`); no inverse is formed.
 """
 
 from __future__ import annotations
@@ -13,13 +14,65 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor  # noqa: F401  perfbench's tracing wraps it by name
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .features import FeatureBank
 from .hsmm import gaussian_log_table
 
-__all__ = ["RegressionStats", "ClassModel"]
+__all__ = ["RegressionStats", "ClassModel", "shared_precisions", "posterior_predictive"]
+
+
+def shared_precisions(precision: np.ndarray, class_ids) -> np.ndarray:
+    """The ``(n, M, M)`` precisions that each class's dimensions share.
+
+    ``precision`` is the ``(n, D, M, M)`` statistics of the classes
+    ``class_ids``.  Raises ``ValueError`` naming the first class and
+    dimension whose copy is not bit-identical to dimension 0's, which
+    only a write to ``stats`` from outside a :class:`ClassModel` can
+    cause: every update there applies the same increment to each copy.
+    """
+    n, n_dims = precision.shape[:2]
+    flat = precision.reshape(n, n_dims, -1)
+    # each dimension against the one before it: contiguous rows, no broadcast
+    same = flat[:, 1:] == flat[:, :-1]
+    if not same.all():
+        i, d = np.argwhere(~same.all(axis=2))[0]
+        raise ValueError(
+            f"class {class_ids[i]}: the precision of dimension {d + 1} "
+            f"differs from that of dimension 0; every dimension must "
+            f"share one precision")
+    return precision[:, 0]
+
+
+def posterior_predictive(precision: np.ndarray, proj: np.ndarray, phi: np.ndarray,
+                         beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive means and variances of ``n`` classes at the feature rows ``phi``.
+
+    ``precision`` is ``(n, M, M)``, each class's shared precision ``P``;
+    ``proj`` is ``(n, D, M)`` and ``phi`` ``(K, M)``.  With ``P = L L^T``
+    (LAPACK's ``dpotrf``), one triangular solve (``dtrtrs``) of
+    ``L [B | A] = [proj^T | phi^T]`` gives both terms: the means are
+    ``A^T B`` and the variances ``1/beta + |A[:, k]|^2``.  Returns
+    ``(n, K, D)`` means and ``(n, K)`` variances, one per row of ``phi``
+    and shared by every dimension.
+    """
+    n, n_dims, n_features = proj.shape
+    # a class's (D + K, M) rows, transposed, are the Fortran-ordered
+    # right-hand side that dtrtrs overwrites in place
+    work = np.empty((n, n_dims + phi.shape[0], n_features))
+    work[:, :n_dims] = proj
+    work[:, n_dims:] = phi
+    for i in range(n):
+        factor, info = dpotrf(precision[i], lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"precision {i} is not positive definite (dpotrf info {info})")
+        dtrtrs(factor, work[i].T, lower=1, overwrite_b=1)
+    whitened = work[:, n_dims:]
+    means = whitened @ work[:, :n_dims].transpose(0, 2, 1)
+    variances = 1.0 / beta + np.einsum("nkm,nkm->nk", whitened, whitened)
+    return means, variances
 
 
 @dataclass
@@ -44,14 +97,19 @@ class ClassModel:
     so the posterior is one factorization per class.  ``stats[d]``'s
     ``precision`` and ``proj`` are views of a ``(D, M, M)`` precision
     stack and a ``(D, M)`` projection stack, so one in-place operation
-    updates every dimension.  The posterior and the predictive at
-    positions 1..kmax are refreshed lazily: statistics updates are cheap
-    rank-k operations, the O(M^3) factorization runs once per refresh.
-    Single writer; reads are safe once refreshed.
+    updates every dimension.  The stacks are the model's own, or the
+    ``precision`` and ``proj`` rows of an owner's stacks (see
+    ``RffEmissions``), which this model initializes.
+
+    No posterior is cached: :meth:`predictive` and
+    :meth:`log_emission_table` solve on every call.  ``dirty`` is set by
+    every statistics update, and must be set by a write to ``stats``
+    from outside; it tells an owner which classes to solve again.
     """
 
     def __init__(self, class_id: int, n_dims: int, n_features: int,
-                 beta: float = 10.0, psi: float = 1.0):
+                 beta: float = 10.0, psi: float = 1.0,
+                 precision: np.ndarray | None = None, proj: np.ndarray | None = None):
         if beta <= 0 or psi <= 0:
             raise ValueError("beta and psi must be positive")
         self.class_id = class_id
@@ -59,15 +117,15 @@ class ClassModel:
         self.n_features = n_features
         self.beta = beta
         self.psi = psi
-        self._precision = np.tile(psi * np.eye(n_features), (n_dims, 1, 1))
-        self._proj = np.zeros((n_dims, n_features))
+        if precision is None:
+            precision = np.empty((n_dims, n_features, n_features))
+            proj = np.empty((n_dims, n_features))
+        self._precision = precision
+        self._proj = proj
+        self._precision[...] = psi * np.eye(n_features)
+        self._proj[...] = 0.0
         self.stats = [RegressionStats(p, q) for p, q in zip(self._precision, self._proj)]
         self.dirty = True
-        self._post_mean = np.zeros((n_dims, n_features))
-        self._post_cov = np.eye(n_features) / psi
-        # (bank, kmax, means, variances) of position_predictive; a
-        # refresh that recomputes the posterior drops it
-        self._predictive_cache = None
 
     @property
     def n_points(self) -> int:
@@ -114,42 +172,23 @@ class ClassModel:
         """The precision matrix, which every dimension's statistics share.
 
         Raises ``ValueError`` if the per-dimension copies are not
-        bit-identical, which only a write to ``stats`` from outside the
-        class can cause: every update here applies the same increment to
-        each copy.
+        bit-identical (see :func:`shared_precisions`).
         """
-        precision = self.stats[0].precision
-        reference = precision.tobytes()
-        for d, st in enumerate(self.stats[1:], start=1):
-            if st.precision.tobytes() != reference:
-                raise ValueError(
-                    f"class {self.class_id}: the precision of dimension {d} "
-                    f"differs from that of dimension 0; every dimension must "
-                    f"share one precision")
-        return precision
+        return shared_precisions(self._precision[np.newaxis], [self.class_id])[0]
 
     def refresh(self) -> None:
-        """Recompute the posterior from the statistics.
+        """Check that the statistics can be solved: one shared precision.
 
-        One Cholesky factorization of the shared precision (``cho_factor``);
-        LAPACK's ``dpotrs`` then solves on that factor for the means of all
-        dimensions, from the projection stack, and for the explicit
-        inverse, which is kept only for the phi^T Sigma phi predictive
-        quadratic form.
+        Nothing is cached to recompute; this raises the ``ValueError`` of
+        :meth:`shared_precision` early.
         """
-        if not self.dirty:
-            return
-        factor, _ = cho_factor(self.shared_precision(), lower=True, check_finite=False)
-        self._post_mean = dpotrs(factor, self._proj.T, lower=1)[0].T
-        self._post_cov = dpotrs(factor, np.eye(self.n_features), lower=1)[0]
-        self._predictive_cache = None
-        self.dirty = False
+        self.shared_precision()
 
     def _predict(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # means (..., D) and the variance (...,) shared by every dimension
-        means = phi @ self._post_mean.T
-        variances = 1.0 / self.beta + np.sum((phi @ self._post_cov) * phi, axis=-1)
-        return means, variances
+        # (K, D) means and the (K,) variances shared by every dimension
+        means, variances = posterior_predictive(
+            self.shared_precision()[np.newaxis], self._proj[np.newaxis], phi, self.beta)
+        return means[0], variances[0]
 
     def predictive(self, bank: FeatureBank, tau) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and variances at within-segment time ``tau``.
@@ -158,23 +197,11 @@ class ClassModel:
         ``tau``; variances include the beta^-1 observation noise and are
         equal across dimensions.
         """
-        self.refresh()
-        means, variances = self._predict(bank.phi(tau))
-        return means, np.repeat(variances[..., np.newaxis], self.n_dims, axis=-1)
-
-    def position_predictive(self, bank: FeatureBank,
-                            kmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive ``(kmax, D)`` means and ``(kmax,)`` shared variances.
-
-        At within-segment positions 1..kmax, read from the bank's cached
-        position features.  Kept until the posterior next changes.
-        """
-        self.refresh()
-        cached = self._predictive_cache
-        if cached is None or cached[0] is not bank or cached[1] != kmax:
-            cached = (bank, kmax, *self._predict(bank.position_features(kmax)))
-            self._predictive_cache = cached
-        return cached[2], cached[3]
+        phi = bank.phi(tau)
+        means, variances = self._predict(phi.reshape(-1, self.n_features))
+        shape = phi.shape[:-1]
+        return (means.reshape(*shape, self.n_dims),
+                np.repeat(variances.reshape(*shape, 1), self.n_dims, axis=-1))
 
     def log_emission_table(self, bank: FeatureBank, seq: np.ndarray,
                            kmax: int) -> np.ndarray:
@@ -184,4 +211,4 @@ class ClassModel:
         (shape ``(n_dims, T)``) when placed at within-segment position
         ``j + 1``.  Shape ``(kmax, T)``.
         """
-        return gaussian_log_table(*self.position_predictive(bank, kmax), seq)
+        return gaussian_log_table(*self._predict(bank.position_features(kmax)), seq)

@@ -502,6 +502,11 @@ def _runconfig_from_args(args) -> RunConfig:
         if not columns:
             raise ConfigError(f"--columns must list column indices, got {text!r}")
         given["columns"] = columns
+    label = given.get("label_column")
+    if label is not None and label < 0:
+        raise ConfigError(f"--label-column must be >= 0, got {label}")
+    if label is not None and label in given.get("columns", ()):
+        raise ConfigError(f"--label-column {label} is also listed in --columns {text!r}")
     return RunConfig(**given)
 
 

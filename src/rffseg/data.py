@@ -47,13 +47,26 @@ class LoadSchema:
 
     ``delimiter=None`` splits on any whitespace.  ``columns`` selects
     the observation columns (default: all except the label column);
-    ``label_column`` optionally attaches per-frame ground truth.  Lines
-    starting with ``#`` are comments.
+    ``label_column`` optionally attaches per-frame ground truth.  It is
+    counted from 0 and may not be one of ``columns`` (``ValueError``).
+    Lines starting with ``#`` are comments.
     """
 
     delimiter: str | None = None
     columns: list[int] | None = None
     label_column: int | None = None
+
+    def __post_init__(self):
+        # a negative index never equals a cell's own index, so the labels
+        # would also be read as observations; so would a listed column
+        if self.label_column is None:
+            return
+        if self.label_column < 0:
+            raise ValueError(f"label_column must be >= 0, got {self.label_column}")
+        if self.columns is not None and self.label_column in self.columns:
+            raise ValueError(
+                f"label_column {self.label_column} is also listed in columns "
+                f"{list(self.columns)}")
 
 
 @dataclass

@@ -5,6 +5,12 @@ resamples its segmentation by forward filtering / backward sampling
 against all other sequences' assignments, and absorbs the new segments
 back.  Emission models are pluggable: the random-feature regression
 backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
+
+Each visit's ``posterior`` phase is the backend's ``refresh``.  For
+"rff" that solves, into stacked predictives at positions ``1..K``, only
+the classes whose statistics the visit changed: one factorization and
+one triangular solve each.  The ``emission`` phase then reads every
+class's ``(kmax, T)`` table from a prefix of those stacks.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blr import ClassModel
+from .blr import ClassModel, posterior_predictive, shared_precisions
 from .exact_gp import GpClassData
 from .features import FeatureBank, sample_feature_bank
 from .hsmm import (
@@ -130,17 +136,31 @@ class _Phase:
 
 
 class RffEmissions:
-    """Incremental random-feature regression models, one per class."""
+    """Incremental random-feature regression models, one per class.
+
+    The classes' statistics are one ``(C, D, M, M)`` precision stack and
+    one ``(C, D, M)`` projection stack; each ``ClassModel``'s ``stats``
+    are views of its rows.  The predictive at positions ``1..K`` is one
+    ``(C, K, D)`` mean stack and one ``(C, K)`` variance stack, ``K`` the
+    largest ``kmax`` asked for, so every smaller ``kmax`` reads a prefix.
+    :meth:`refresh` solves again only the classes marked ``dirty``.
+    """
 
     backend_name = "rff"
 
     def __init__(self, bank: FeatureBank, n_classes: int, n_dims: int,
                  beta: float, psi: float):
         self.bank = bank
+        m = bank.n_features
+        self.precision = np.empty((n_classes, n_dims, m, m))
+        self.proj = np.empty((n_classes, n_dims, m))
         self.class_models = [
-            ClassModel(c, n_dims, bank.n_features, beta=beta, psi=psi)
+            ClassModel(c, n_dims, m, beta=beta, psi=psi,
+                       precision=self.precision[c], proj=self.proj[c])
             for c in range(n_classes)
         ]
+        self.means = np.empty((n_classes, 0, n_dims))
+        self.variances = np.empty((n_classes, 0))
 
     def add(self, label: int, key, segment: np.ndarray) -> None:
         self.class_models[label].add_segment(self.bank, segment)
@@ -149,8 +169,24 @@ class RffEmissions:
         self.class_models[label].remove_segment(self.bank, segment)
 
     def refresh(self) -> None:
-        for model in self.class_models:
-            model.refresh()
+        """Solve the dirty classes' predictives into their rows of the stacks.
+
+        One shared-precision check covers the whole stack (in place, it
+        costs less than copying out the dirty rows); then each dirty class
+        is factorized once (:func:`posterior_predictive`).
+        """
+        dirty = [c for c, model in enumerate(self.class_models) if model.dirty]
+        if not dirty:
+            return
+        precision = shared_precisions(self.precision, range(len(self.class_models)))
+        positions = self.means.shape[1]
+        if positions == 0:
+            return  # no table asked for yet; the first one solves every class
+        self.means[dirty], self.variances[dirty] = posterior_predictive(
+            precision[dirty], self.proj[dirty], self.bank.position_features(positions),
+            self.class_models[0].beta)
+        for c in dirty:
+            self.class_models[c].dirty = False
 
     def emitters(self):
         """The ``emitters`` argument of ``forward_filter``: this object."""
@@ -158,27 +194,29 @@ class RffEmissions:
 
     def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
         """``(C, kmax, T)`` frame log densities of every class."""
-        means, variances = zip(*(m.position_predictive(self.bank, kmax)
-                                 for m in self.class_models))
-        return gaussian_log_table(np.array(means), np.array(variances), seq)
+        if kmax > self.means.shape[1]:
+            # more positions than the stacks hold: every class is solved again
+            n_classes, _, n_dims = self.means.shape
+            self.means = np.empty((n_classes, kmax, n_dims))
+            self.variances = np.empty((n_classes, kmax))
+            for model in self.class_models:
+                model.dirty = True
+        self.refresh()
+        return gaussian_log_table(self.means[:, :kmax], self.variances[:, :kmax], seq)
 
     def audit_deviation(self, sequences, assignments) -> float:
         """Max-abs gap between incremental stats and a batch rebuild."""
-        fresh = RffEmissions(self.bank, len(self.class_models),
-                             self.class_models[0].n_dims,
-                             self.class_models[0].beta, self.class_models[0].psi)
+        model = self.class_models[0]
+        fresh = RffEmissions(self.bank, len(self.class_models), model.n_dims,
+                             model.beta, model.psi)
         _replay_assignments(fresh, sequences, assignments)
-        worst = 0.0
         for cur, ref in zip(self.class_models, fresh.class_models):
             if cur.n_points != ref.n_points:
                 raise AuditError(
                     f"class {cur.class_id}: n_points {cur.n_points} != "
                     f"batch value {ref.n_points}")
-            for st_cur, st_ref in zip(cur.stats, ref.stats):
-                worst = max(worst,
-                            np.max(np.abs(st_cur.precision - st_ref.precision)),
-                            np.max(np.abs(st_cur.proj - st_ref.proj)))
-        return worst
+        return max(np.max(np.abs(self.precision - fresh.precision)),
+                   np.max(np.abs(self.proj - fresh.proj)))
 
 
 class ExactGpEmissions:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import rffseg.blr
-from rffseg.blr import ClassModel
+from rffseg.blr import ClassModel, posterior_predictive
 from rffseg.exact_gp import GpClassData
 from rffseg.features import sample_feature_bank
-from rffseg.trainer import emissions_from_snapshot
+from rffseg.trainer import RffEmissions, emissions_from_snapshot
 
 from helpers import direct_log_table, gaussian_logpdf
 
@@ -21,6 +21,14 @@ PSI = 1.0
 def make_model(n_dims=2, n_features=20, beta=BETA, psi=PSI):
     bank = sample_feature_bank(n_features, 1.0, seed=77)
     return ClassModel(0, n_dims, n_features, beta=beta, psi=psi), bank
+
+
+def posterior_mean(model):
+    """The ``(D, M)`` posterior mean weights: the solve at the identity's rows."""
+    proj = np.array([st.proj for st in model.stats])
+    means, _ = posterior_predictive(model.shared_precision()[np.newaxis],
+                                    proj[np.newaxis], np.eye(model.n_features), model.beta)
+    return means[0].T
 
 
 def assert_bound_to_stacks(model):
@@ -125,17 +133,16 @@ def test_posterior_matches_dense_ridge_solve():
     lhs = PSI * np.eye(n_features) + BETA * phi.T @ phi
     rhs = BETA * phi.T @ np.asarray(values)
     oracle_mean = np.linalg.solve(lhs, rhs)
-    model.refresh()
-    assert np.max(np.abs(model._post_mean[0] - oracle_mean)) < 1e-6
+    assert np.max(np.abs(posterior_mean(model)[0] - oracle_mean)) < 1e-6
 
 
 def test_cached_mean_solves_the_normal_equations():
     model, bank = make_model(n_dims=2)
     rng = np.random.default_rng(3)
     model.add_segment(bank, rng.normal(0, 1, size=(2, 20)))
-    model.refresh()
+    mean = posterior_mean(model)
     for d, st in enumerate(model.stats):
-        resid = st.precision @ model._post_mean[d] - st.proj
+        resid = st.precision @ mean[d] - st.proj
         assert np.linalg.norm(resid) / np.linalg.norm(st.proj) < 1e-8
 
 
@@ -320,30 +327,31 @@ def test_refresh_rejects_disagreeing_precisions():
 
 def test_one_factorization_per_dirty_class(monkeypatch):
     calls = []
-    real = rffseg.blr.cho_factor
+    real = rffseg.blr.dpotrf
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(rffseg.blr, "cho_factor", counting)
+    monkeypatch.setattr(rffseg.blr, "dpotrf", counting)
     bank = sample_feature_bank(20, 1.0, seed=4)
-    models = [ClassModel(c, 8, 20, beta=BETA, psi=PSI) for c in range(5)]
-    for model in models:
-        model.refresh()
-    assert len(calls) == 5
+    emissions = RffEmissions(bank, 5, 8, beta=BETA, psi=PSI)
     rng = np.random.default_rng(0)
+    emissions.refresh()
+    emissions.log_emission_tables(rng.normal(size=(8, 30)), 20)
+    assert len(calls) == 5
     for c in (1, 3):
-        models[c].add_segment(bank, rng.normal(size=(8, 15)))
+        emissions.add(c, c, rng.normal(size=(8, 15)))
     calls.clear()
-    for model in models:
-        model.refresh()
-        model.log_emission_table(bank, rng.normal(size=(8, 30)), kmax=20)
+    emissions.refresh()
+    emissions.log_emission_tables(rng.normal(size=(8, 30)), 20)
     assert len(calls) == 2
     calls.clear()
-    for model in models:
-        model.refresh()
+    emissions.refresh()
     assert calls == []
+    # a class alone caches nothing: one factorization per table
+    emissions.class_models[0].log_emission_table(bank, rng.normal(size=(8, 30)), kmax=20)
+    assert len(calls) == 1
 
 
 def test_statistics_stay_views_of_the_stacks():
@@ -366,7 +374,7 @@ def test_statistics_stay_views_of_the_stacks():
     model.refresh()
     # the posterior reads what was written through the views
     want = np.linalg.solve(model.stats[0].precision, np.array([st.proj for st in model.stats]).T)
-    np.testing.assert_allclose(model._post_mean.T, want, rtol=1e-10)
+    np.testing.assert_allclose(posterior_mean(model).T, want, rtol=1e-10)
 
 
 def test_statistics_restored_from_a_snapshot_stay_views():

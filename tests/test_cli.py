@@ -173,6 +173,23 @@ class TestTrain:
         assert f"{flag[2:].replace('-', '_')} must be finite, got {value}" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("verb", ["train", "segment", "bench"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--label-column", -1], "--label-column must be >= 0, got -1"),
+        (["--label-column", 2, "--columns", "0,2"],
+         "--label-column 2 is also listed in --columns '0,2'"),
+    ], ids=["negative", "listed"])
+    def test_label_column_that_would_be_read_as_data_is_refused(self, tmp_path, capsys,
+                                                               verb, flags, message):
+        # either way the labels would also be read as an observation row
+        data, files = synth_corpus(tmp_path, n_sequences=1)
+        model = ["--model", tmp_path / "model.json"] if verb == "segment" else []
+        assert run([verb, *model, "--data", *files, "--out", tmp_path / "x",
+                    *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.txt",
                     "--out", tmp_path / "x", "--classes", 2])

@@ -85,6 +85,21 @@ class TestLoader:
         assert store.sequences[0].shape == (2, 3)
         assert store.labels[0].tolist() == [0, 1, 1]
 
+    @pytest.mark.parametrize("reader", ["fast", "line"])
+    @pytest.mark.parametrize("fields, message", [
+        (dict(label_column=-1), "label_column must be >= 0, got -1"),
+        (dict(columns=[0, 2], label_column=2),
+         r"label_column 2 is also listed in columns \[0, 2\]"),
+    ], ids=["negative", "listed"])
+    def test_label_column_is_never_read_as_an_observation(self, tmp_path, monkeypatch,
+                                                          reader, fields, message):
+        # either schema would return the labels as the last observation row
+        path = write(tmp_path / "seq.txt", "0.5 1.5 0\n0.25 2.5 1\n")
+        if reader == "line":
+            monkeypatch.setattr(data_module, "_read_fast", lambda path, schema: None)
+        with pytest.raises(ValueError, match=message):
+            load_sequences([path], LoadSchema(**fields))
+
     def test_column_selection(self, tmp_path):
         path = write(tmp_path / "seq.txt", "9 0.5 1.5\n9 0.25 2.5\n")
         store = load_sequences([path], LoadSchema(columns=[1, 2]))
@@ -158,9 +173,9 @@ def delimited_files(draw):
     odd_cells, ragged, trailing, odd_pads = (draw(st.integers(0, 3)) == 0 for _ in range(4))
     delimiter = draw(st.sampled_from([None, ","]))
     n_cells = draw(st.integers(1, 4))
-    label_column = draw(st.one_of(st.none(), st.integers(-1, n_cells)))
-    columns = draw(st.one_of(st.none(), st.lists(st.integers(-2, n_cells), min_size=1,
-                                                  max_size=3)))
+    label_column = draw(st.one_of(st.none(), st.integers(0, n_cells)))
+    column = st.integers(-2, n_cells).filter(lambda i: i != label_column)
+    columns = draw(st.one_of(st.none(), st.lists(column, min_size=1, max_size=3)))
     pad = st.sampled_from(["", "", " ", "\t"] + (["\xa0", "\x1c"] if odd_pads else []))
     lines = []
     for _ in range(draw(st.integers(0, 6))):
@@ -193,7 +208,7 @@ class TestFastReader:
     @example(case=(b"1 nan\n", LoadSchema()))
     @example(case=(b"1 2 1e300\n", LoadSchema(label_column=2)))
     @example(case=(b"1 2\n", LoadSchema(label_column=2)))
-    @example(case=(b"1 2\n3 4\n", LoadSchema(columns=[1, 0], label_column=0)))
+    @example(case=(b"1 2\n3 4\n", LoadSchema(columns=[1], label_column=0)))
     def test_agrees_with_line_reader(self, tmp_path, case):
         content, schema = case
         path = tmp_path / "seq.txt"
@@ -207,7 +222,7 @@ class TestFastReader:
         ("0.5 -1.25 0\n2.0 3.5 1\n", LoadSchema(label_column=2)),
         ("# header\r\n\r\n  # note\r\n1 2\r\n3 4\r\n", LoadSchema()),
         ("1, 2,x\n3 ,4,y\n", LoadSchema(delimiter=",", columns=[1, 0])),
-        ("1 2 -7.9\n3 4 9.2e18\n", LoadSchema(label_column=-1)),
+        ("1 2 -7.9\n3 4 9.2e18\n", LoadSchema(label_column=2)),
     ], ids=["label", "comments-crlf", "csv-unused-text", "last-column-label"])
     def test_clean_files_take_the_fast_path(self, tmp_path, text, schema):
         path = write(tmp_path / "seq.txt", text)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import rffseg.trainer
 from rffseg.data import PatternSpec, SyntheticSpec, evaluate_nhd, generate_synthetic
 from rffseg.features import sample_feature_bank
 from rffseg.hsmm import InfeasibleSequenceError, forward_filter, forward_from_table
@@ -350,6 +351,89 @@ class TestEmissionTables:
                                             state.hsmm)):
                 np.testing.assert_array_equal(got.log_alpha, want.log_alpha)
                 np.testing.assert_array_equal(got.log_norm, want.log_norm)
+
+
+def filled_rff(n_classes=5, n_dims=3, seed=4):
+    """An ``RffEmissions`` holding a few random segments in every class."""
+    rng = np.random.default_rng(seed)
+    emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=seed), n_classes, n_dims,
+                             beta=10.0, psi=1.0)
+    for c in range(n_classes):
+        for i in range(3):
+            emissions.add(c, (c, i), rng.normal(size=(n_dims, int(rng.integers(8, 25)))))
+    return emissions, rng
+
+
+class TestRffPosterior:
+    """The stacked predictive that ``RffEmissions.refresh`` keeps."""
+
+    def test_refresh_solves_exactly_the_dirty_classes_once(self, monkeypatch):
+        emissions, rng = filled_rff()
+        seq = rng.normal(size=(3, 40))
+        emissions.log_emission_tables(seq, 24)
+        means, variances = emissions.means.copy(), emissions.variances.copy()
+        solved = []
+        real = rffseg.trainer.posterior_predictive
+
+        def recording(precision, proj, phi, beta):
+            solved.append(proj.copy())
+            return real(precision, proj, phi, beta)
+
+        monkeypatch.setattr(rffseg.trainer, "posterior_predictive", recording)
+        for c in (3, 1):
+            emissions.add(c, (c, 9), rng.normal(size=(3, 12)))
+        emissions.refresh()
+        emissions.refresh()
+        emissions.log_emission_tables(seq, 24)
+        # one solve, of classes 1 and 3 only, each once
+        assert len(solved) == 1
+        np.testing.assert_array_equal(solved[0], emissions.proj[[1, 3]])
+        for c in (0, 2, 4):
+            np.testing.assert_array_equal(emissions.means[c], means[c])
+            np.testing.assert_array_equal(emissions.variances[c], variances[c])
+        for c in (1, 3):
+            assert not np.array_equal(emissions.means[c], means[c])
+            assert np.all(emissions.variances[c] <= variances[c] + 1e-12)
+
+    def test_stacked_predictive_equals_class_predictive(self):
+        emissions, rng = filled_rff()
+        seq = rng.normal(size=(3, 40))
+        emissions.log_emission_tables(seq, 24)
+        emissions.add(2, (2, 9), rng.normal(size=(3, 12)))
+        emissions.log_emission_tables(seq, 9)  # a prefix: no new positions
+        assert emissions.means.shape == (5, 24, 3)
+        taus = np.arange(1, 25, dtype=np.float64)
+        for c, model in enumerate(emissions.class_models):
+            means, variances = model.predictive(emissions.bank, taus)
+            np.testing.assert_array_equal(emissions.means[c], means)
+            np.testing.assert_array_equal(emissions.variances[c], variances[:, 0])
+
+    def test_more_positions_solve_every_class_again(self):
+        emissions, rng = filled_rff()
+        seq = rng.normal(size=(3, 40))
+        short = emissions.log_emission_tables(seq, 9)
+        assert emissions.means.shape == (5, 9, 3)
+        long = emissions.log_emission_tables(seq, 30)
+        assert emissions.means.shape == (5, 30, 3)
+        np.testing.assert_allclose(long[:, :9], short, rtol=1e-12)
+        np.testing.assert_array_equal(emissions.log_emission_tables(seq, 9), long[:, :9])
+
+    def test_statistics_are_views_of_the_stacks(self):
+        emissions, _ = filled_rff()
+        for c, model in enumerate(emissions.class_models):
+            for d, st in enumerate(model.stats):
+                assert np.shares_memory(st.precision, emissions.precision[c, d])
+                assert np.shares_memory(st.proj, emissions.proj[c, d])
+
+    def test_disagreeing_precision_names_class_and_dimension(self):
+        emissions, rng = filled_rff()
+        emissions.log_emission_tables(rng.normal(size=(3, 40)), 24)
+        emissions.class_models[1].stats[2].precision[0, 0] += 1e-9
+        emissions.class_models[1].dirty = True
+        with pytest.raises(ValueError, match="class 1: the precision of dimension 2"):
+            emissions.refresh()
+        with pytest.raises(ValueError, match="class 1: the precision of dimension 2"):
+            emissions.class_models[1].predictive(emissions.bank, 3.0)
 
 
 class TestSnapshot:

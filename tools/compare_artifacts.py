@@ -11,7 +11,8 @@ masked, so the run's paths match.  So do the fields that change from one
 run to the next: the build id, the timings, the environment, trial and
 mean seconds, phase means and speed-up ratios.  Each file that still
 differs is printed, a JSON file with the keys that differ, and the exit
-status is 1 if any does (2 if a command fails).
+status is 1 if any does (2 if a command fails).  A differing number, or
+line of comma-separated numbers, is shown with its relative gap.
 """
 
 import argparse
@@ -120,7 +121,22 @@ def differences(parent, change, where: str = ""):
         for i, (a, b) in enumerate(zip(parent, change)):
             yield from differences(a, b, f"{where}[{i}]" if where else f"line {i + 1}")
     elif parent != change:
-        yield f"{where or 'content'}: differs"
+        gap = relative_gap(parent, change)
+        yield f"{where or 'content'}: differs" + (
+            "" if gap is None else f" (relative {gap:.1e})")
+
+
+def relative_gap(parent, change):
+    """Largest relative gap of two numbers or two comma-separated lines of
+    numbers, field by field; ``None`` when either is anything else."""
+    def numbers(value):
+        cells = value.split(",") if isinstance(value, str) else [value]
+        return [float(v) for v in cells]
+    try:
+        pairs = list(zip(numbers(parent), numbers(change), strict=True))
+    except (TypeError, ValueError):
+        return None
+    return max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in pairs)
 
 
 def main() -> int:

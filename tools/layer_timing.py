@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the lattice layers and the loader of two checkouts, and check their bits.
+"""Time the lattice layers, the rff posterior and the loader of two checkouts; check results.
 
     python3 tools/layer_timing.py --parent ../parent --change .
 
@@ -19,6 +19,14 @@ gives each side's median microseconds per call, the median of the
 rounds' change/parent ratios, and the rounds the change was faster in.
 Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the
 benchmark does.
+
+Next comes the rff posterior.  Both sides' ``RffEmissions`` (M=20
+features) absorb the same segments; each call marks the same
+``DIRTY`` classes dirty, then runs ``refresh()`` and
+``log_emission_tables`` at kmax=30.  This layer's arithmetic may change,
+so the two sides' tables are compared against ``REL_BOUND``, relative
+to each entry's magnitude (or to 1 below it), and a gap beyond it sets
+the exit status to 1.  It is timed in the same interleaved rounds.
 
 Last comes the loader.  The change's ``synth`` verb writes the
 benchmark's held-out shape (``--preset bench-base --sequences 240
@@ -48,6 +56,9 @@ CALLS = 20
 CHECKS = 400  # random shapes compared bit for bit
 HELDOUT = ("--preset", "bench-base", "--sequences", "240", "--frames", "164")
 LOAD_ROUNDS = 10
+M = 20
+DIRTY = (0, 1, 2, 4, 5, 7, 8, 10)  # 8 of 11 classes, as in a train-rff visit
+REL_BOUND = 1e-10
 
 
 def load_package(checkout: Path, name: str):
@@ -161,6 +172,40 @@ def time_layers(parent, change) -> None:
         compare_times(name, lambda side: per_call_us(sides[side][name]), ROUNDS, "us")
 
 
+def rff_emissions(package):
+    """An ``RffEmissions`` holding 40 random segments per class, and a sequence."""
+    rng = np.random.default_rng(11)
+    bank = package.features.sample_feature_bank(M, 1.0, seed=5)
+    emissions = package.trainer.RffEmissions(bank, C, D, beta=10.0, psi=1.0)
+    for c in range(C):
+        for i in range(40):
+            emissions.add(c, (c, i), rng.normal(size=(D, int(rng.integers(KMIN, KMAX + 1)))))
+    return emissions, rng.normal(size=(D, T))
+
+
+def posterior_call(emissions, seq):
+    """Mark ``DIRTY`` dirty, refresh, and build the tables: one visit's posterior."""
+    def call():
+        for c in DIRTY:
+            emissions.class_models[c].dirty = True
+        emissions.refresh()
+        return emissions.log_emission_tables(seq, KMAX)
+    return call
+
+
+def time_posterior(parent, change) -> int:
+    """Compare and time both sides' rff posterior; return the differences."""
+    sides = {"parent": posterior_call(*rff_emissions(parent)),
+             "change": posterior_call(*rff_emissions(change))}
+    want, got = sides["parent"](), sides["change"]()
+    gap = float(np.max(np.abs(got - want) / np.maximum(np.maximum(abs(want), abs(got)), 1.0)))
+    print(f"rff posterior: tables {want.shape}, largest relative gap {gap:.1e} "
+          f"(bound {REL_BOUND:.0e}), {len(DIRTY)} of {C} classes dirty per call, M={M}")
+    compare_times("refresh + log_emission_tables", lambda side: per_call_us(sides[side]),
+                  ROUNDS, "us")
+    return int(not gap <= REL_BOUND)
+
+
 def loaded_bytes(data, paths, label_column):
     """Every array ``load_sequences`` returns, with its layout, as bytes."""
     store = data.load_sequences(paths, data.LoadSchema(label_column=label_column))
@@ -202,11 +247,12 @@ def main() -> int:
     parent = load_package(args.parent, "parent_rffseg")
     change = load_package(args.change, "change_rffseg")
     for package in (parent, change):
-        for module in ("hsmm", "data", "cli"):
+        for module in ("hsmm", "data", "cli", "features", "trainer"):
             importlib.import_module(f"{package.__name__}.{module}")
     differing = check_bits(parent.hsmm, change.hsmm)
     print(f"shape: C={C} D={D} K=[{KMIN}, {KMAX}] T={T}, {ROUNDS} rounds of {CALLS} calls")
     time_layers(parent.hsmm, change.hsmm)
+    differing += time_posterior(parent, change)
     differing += time_loader(parent, change)
     return 1 if differing else 0
 
