@@ -46,9 +46,11 @@ class LoadSchema:
     """How to read delimited sequence files.
 
     ``delimiter=None`` splits on any whitespace.  ``columns`` selects
-    the observation columns (default: all except the label column);
-    ``label_column`` optionally attaches per-frame ground truth.  It is
-    counted from 0 and may not be one of ``columns`` (``ValueError``).
+    the observation columns (default: all except the label column); a
+    negative entry counts from the end of each line.  ``label_column``
+    optionally attaches per-frame ground truth.  It is counted from 0
+    and may not be one of ``columns`` (``ValueError``), nor the column
+    a negative entry reaches on some line (``DataFormatError``).
     Lines starting with ``#`` are comments.
     """
 
@@ -145,10 +147,17 @@ def _read_lines(path, schema: LoadSchema):
             if not line or line.startswith("#"):
                 continue
             cells = line.split(schema.delimiter)
+            n_cells = len(cells)
             if schema.columns is None:
-                data_idx = [i for i in range(len(cells)) if i != schema.label_column]
+                data_idx = [i for i in range(n_cells) if i != schema.label_column]
             else:
-                data_idx = list(schema.columns)
+                # a negative entry counts from the end of this line
+                data_idx = [i + n_cells if -n_cells <= i < 0 else i for i in schema.columns]
+                if schema.label_column in data_idx:
+                    column = schema.columns[data_idx.index(schema.label_column)]
+                    raise DataFormatError(
+                        f"{path}:{lineno}: column {column} of {n_cells} is the "
+                        f"label column {schema.label_column}")
             try:
                 values = [float(cells[i]) for i in data_idx]
             except (ValueError, IndexError) as exc:
@@ -183,9 +192,13 @@ def _read_fast(path, schema: LoadSchema):
     ``None`` covers every input the line reader might refuse or read
     differently: a file numpy cannot read, a ``#`` after data on its
     line, no data rows, a non-finite value, a label that is non-finite
-    or outside int64, or no label column.  Arrays it does return are
-    byte-equal to the line reader's, in the same memory layout.
+    or outside int64, no label column, or a negative entry in
+    ``columns`` (which might name the label column).  Arrays it does
+    return are byte-equal to the line reader's, in the same memory layout.
     """
+    columns, label_column = schema.columns, schema.label_column
+    if columns is not None and any(i < 0 for i in columns):
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -195,7 +208,6 @@ def _read_fast(path, schema: LoadSchema):
         return None
     if "#" in text and _INLINE_COMMENT.search(text):
         return None
-    columns, label_column = schema.columns, schema.label_column
     usecols = None
     if columns is not None:
         usecols = list(columns) + ([] if label_column is None else [label_column])
@@ -298,11 +310,18 @@ def preprocess(store: SequenceStore, downsample: int = 1,
         mins = stacked.min(axis=1)
         maxs = stacked.max(axis=1)
     span = maxs - mins
-    safe = np.where(span > 0, span, 1.0)
+    safe = np.where(span > 0, span, 1.0)[:, None]
+    constant = span == 0
+    any_constant = constant.any()
     out = []
     for s in seqs:
-        scaled = 2.0 * (s - mins[:, None]) / safe[:, None] - 1.0
-        scaled[span == 0, :] = 0.0
+        # 2 * (s - mins) / safe - 1, in that order, in one output array
+        scaled = np.subtract(s, mins[:, None])
+        np.multiply(scaled, 2.0, out=scaled)
+        np.divide(scaled, safe, out=scaled)
+        np.subtract(scaled, 1.0, out=scaled)
+        if any_constant:
+            scaled[constant, :] = 0.0
         out.append(scaled)
     rec = PreprocessRecord(downsample=downsample, normalized=True,
                            mins=mins.copy(), maxs=maxs.copy())

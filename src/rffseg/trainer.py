@@ -15,6 +15,7 @@ class's ``(kmax, T)`` table from a prefix of those stacks.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -144,6 +145,9 @@ class RffEmissions:
     ``(C, K, D)`` mean stack and one ``(C, K)`` variance stack, ``K`` the
     largest ``kmax`` asked for, so every smaller ``kmax`` reads a prefix.
     :meth:`refresh` solves again only the classes marked ``dirty``.
+    Sweeps update the statistics one segment at a time (:meth:`add`,
+    :meth:`remove`); :meth:`rebuild` computes them from all assignments
+    at once.
     """
 
     backend_name = "rff"
@@ -204,12 +208,61 @@ class RffEmissions:
         self.refresh()
         return gaussian_log_table(self.means[:, :kmax], self.variances[:, :kmax], seq)
 
+    def rebuild(self, sequences, assignments) -> None:
+        """Set every class's statistics from ``assignments`` in whole-array passes.
+
+        A class's statistics depend only on how many of its frames sit
+        at each within-segment position and on their sum there.  One
+        pass over the segments gives those as ``(C, K)`` counts ``n``
+        and ``(C, K, D)`` sums ``S`` (``K`` the longest segment); then
+        with the position features ``Phi`` (``(K, M)``) every class's
+        precision is ``psi*I + beta * Phi^T diag(n_c) Phi``, written to
+        each dimension's row, and its projections ``beta * S_c^T Phi``.
+        The per-segment updates of :meth:`add` and :meth:`remove` reach
+        the same statistics up to round-off, which the audit checks.
+        """
+        n_classes, n_dims, m = self.proj.shape
+        offsets = np.cumsum([0] + [seq.shape[1] for seq in sequences])
+        spans = np.array([(offset + seg.start, seg.stop - seg.start, seg.label)
+                          for offset, segs in zip(offsets, assignments) for seg in segs],
+                         dtype=np.int64).reshape(-1, 3)
+        starts, lengths, labels = spans.T
+        k = int(lengths.max(initial=0))
+        ends = np.cumsum(lengths)
+        # each assigned frame's 0-based position in its segment, its frame
+        # in the concatenated corpus and its (class, position) cell, built
+        # in place: each corpus-long temporary raised the peak memory
+        positions = np.arange(ends[-1] if ends.size else 0)
+        positions -= np.repeat(ends - lengths, lengths)
+        frames = np.repeat(starts, lengths)
+        frames += positions
+        cells = np.repeat(labels * k, lengths)
+        cells += positions
+        del positions
+        counts = np.bincount(cells, minlength=n_classes * k).reshape(n_classes, k)
+        sums = np.empty((n_classes * k, n_dims))
+        row = np.empty(offsets[-1])
+        for d in range(n_dims):
+            # one dimension of the corpus at a time: no copy of the whole of it
+            np.concatenate([seq[d] for seq in sequences], out=row)
+            sums[:, d] = np.bincount(cells, weights=row[frames], minlength=n_classes * k)
+        phi = self.bank.position_features(k)
+        model = self.class_models[0]
+        gram = (counts[:, :, np.newaxis] * phi).transpose(0, 2, 1) @ phi  # (C, M, M)
+        self.precision[...] = (model.psi * np.eye(m) + model.beta * gram)[:, np.newaxis]
+        np.matmul(sums.reshape(n_classes, k, n_dims).transpose(0, 2, 1), model.beta * phi,
+                  out=self.proj)
+        for class_model, n_points in zip(self.class_models, counts.sum(axis=1).tolist()):
+            for st in class_model.stats:
+                st.n_points = n_points
+            class_model.dirty = True
+
     def audit_deviation(self, sequences, assignments) -> float:
-        """Max-abs gap between incremental stats and a batch rebuild."""
+        """Max-abs gap between incremental stats and a batch :meth:`rebuild`."""
         model = self.class_models[0]
         fresh = RffEmissions(self.bank, len(self.class_models), model.n_dims,
                              model.beta, model.psi)
-        _replay_assignments(fresh, sequences, assignments)
+        fresh.rebuild(sequences, assignments)
         for cur, ref in zip(self.class_models, fresh.class_models):
             if cur.n_points != ref.n_points:
                 raise AuditError(
@@ -276,12 +329,13 @@ class ExactGpEmissions:
         means, variances = zip(*(data._predict(taus) for data in self.class_models))
         return gaussian_log_table(np.array(means), np.array(variances), seq)
 
+    def rebuild(self, sequences, assignments) -> None:
+        """Set every class's blocks to the segments ``assignments`` give it."""
+        self.blocks = _keyed_blocks(len(self.class_models), sequences, assignments)
+        self._dirty = [True] * len(self.class_models)
+
     def audit_deviation(self, sequences, assignments) -> float:
-        expected = [dict() for _ in self.class_models]
-        for seq_idx, segs in enumerate(assignments):
-            for seg in segs:
-                expected[seg.label][(seq_idx, seg.start, seg.stop)] = \
-                    sequences[seq_idx][:, seg.start:seg.stop]
+        expected = _keyed_blocks(len(self.class_models), sequences, assignments)
         for c, (have, want) in enumerate(zip(self.blocks, expected)):
             if set(have) != set(want):
                 raise AuditError(
@@ -292,11 +346,14 @@ class ExactGpEmissions:
         return 0.0
 
 
-def _replay_assignments(emissions, sequences, assignments) -> None:
+def _keyed_blocks(n_classes: int, sequences, assignments) -> list:
+    """Per class, its segments' frames keyed by ``(sequence, start, stop)``."""
+    blocks = [dict() for _ in range(n_classes)]
     for seq_idx, segs in enumerate(assignments):
         for seg in segs:
-            emissions.add(seg.label, (seq_idx, seg.start, seg.stop),
-                          sequences[seq_idx][:, seg.start:seg.stop])
+            blocks[seg.label][(seq_idx, seg.start, seg.stop)] = \
+                sequences[seq_idx][:, seg.start:seg.stop]
+    return blocks
 
 
 @dataclass
@@ -349,20 +406,28 @@ class SegmentationResult:
         return self.loglik_trace[-1] if self.loglik_trace else float("-inf")
 
 
+@functools.lru_cache(maxsize=4096)
+def _admissible_lengths(remaining: int, kmin: int, kmax: int) -> tuple[int, ...]:
+    """The lengths in [kmin, kmax] that leave ``remaining`` frames tileable."""
+    return tuple(k for k in range(kmin, min(kmax, remaining) + 1)
+                 if tileable(remaining - k, kmin, kmax))
+
+
 def _random_spans(n_frames: int, kmin: int, kmax: int,
                   rng: np.random.Generator) -> list[tuple[int, int]]:
     """Cut [0, n_frames) into uniform-random lengths within [kmin, kmax].
 
     Each draw is uniform over the lengths that keep the remainder
-    tileable, so no repair pass is needed afterwards.
+    tileable, so no repair pass is needed afterwards.  It is one
+    ``rng.integers(0, n)`` over the ``n`` admissible lengths, which is
+    the draw ``rng.choice`` makes on them.
     """
     spans = []
     pos = 0
     remaining = n_frames
     while remaining > 0:
-        choices = [k for k in range(kmin, min(kmax, remaining) + 1)
-                   if tileable(remaining - k, kmin, kmax)]
-        k = int(rng.choice(choices))
+        choices = _admissible_lengths(remaining, kmin, kmax)
+        k = choices[int(rng.integers(0, len(choices)))]
         spans.append((pos, pos + k))
         pos += k
         remaining -= k
@@ -370,7 +435,12 @@ def _random_spans(n_frames: int, kmin: int, kmax: int,
 
 
 def initialize(sequences, config: TrainerConfig) -> TrainerState:
-    """Randomly segment all sequences and build the initial statistics."""
+    """Randomly segment all sequences and build the initial statistics.
+
+    Each sequence is cut into uniform-random admissible lengths with
+    uniform-random labels; the backend's ``rebuild`` then builds every
+    class's statistics from the assignments at once.
+    """
     config.validate()
     sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
     if not sequences:
@@ -417,7 +487,7 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
                     for (a, b), c in zip(spans, labels)]
             state.assignments.append(segs)
             hsmm.absorb_labels([seg.label for seg in segs])
-        _replay_assignments(emissions, sequences, state.assignments)
+        emissions.rebuild(sequences, state.assignments)
     return state
 
 

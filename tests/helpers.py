@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from rffseg.hsmm import ForwardLattice, InfeasibleSequenceError
+from rffseg.hsmm import ForwardLattice, InfeasibleSequenceError, tileable
 
 
 class TableEmitter:
@@ -170,3 +170,22 @@ def reference_forward(emis, params):
             f"[{params.kmin}, {params.kmax}] exists")
     return ForwardLattice(log_alpha=log_alpha, log_norm=log_norm,
                           kmin=kmin, kmax=kmax)
+
+
+def reference_random_spans(n_frames, kmin, kmax, rng):
+    """The draw order of ``rffseg.trainer._random_spans``, written plainly.
+
+    At each remainder, list the admissible lengths and let
+    ``rng.choice`` pick one.
+    """
+    spans = []
+    pos = 0
+    remaining = n_frames
+    while remaining > 0:
+        choices = [k for k in range(kmin, min(kmax, remaining) + 1)
+                   if tileable(remaining - k, kmin, kmax)]
+        k = int(rng.choice(choices))
+        spans.append((pos, pos + k))
+        pos += k
+        remaining -= k
+    return spans

@@ -190,6 +190,15 @@ class TestTrain:
         assert f"error: {message}" in err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_column_reaching_the_label_column_is_refused(self, tmp_path, capsys):
+        # the files hold 2 observation columns and the label: -1 is column 2
+        data, files = synth_corpus(tmp_path, n_sequences=1)
+        assert run(["train", "--data", *files, "--out", tmp_path / "x", *TRAIN_FLAGS,
+                    "--columns=0,-1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{files[0]}:1: column -1 of 3 is the label column 2" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_file_fails_cleanly(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.txt",
                     "--out", tmp_path / "x", "--classes", 2])

@@ -100,6 +100,21 @@ class TestLoader:
         with pytest.raises(ValueError, match=message):
             load_sequences([path], LoadSchema(**fields))
 
+    def test_negative_column_reaching_the_label_column_is_refused(self, tmp_path):
+        # columns=[0, -1] on 3 cells would read the labels as the second row
+        path = write(tmp_path / "seq.txt", "0.5 1.5 0\n0.25 2.5 1\n")
+        schema = LoadSchema(columns=[0, -1], label_column=2)
+        assert data_module._read_fast(path, schema) is None
+        with pytest.raises(DataFormatError,
+                           match=r"seq\.txt:1: column -1 of 3 is the label column 2"):
+            load_sequences([path], schema)
+
+    def test_negative_column_counts_from_the_end_of_the_line(self, tmp_path):
+        path = write(tmp_path / "seq.txt", "0.5 1.5 0\n0.25 2.5 1\n")
+        store = load_sequences([path], LoadSchema(columns=[0, -2], label_column=2))
+        np.testing.assert_array_equal(store.sequences[0], [[0.5, 0.25], [1.5, 2.5]])
+        assert store.labels[0].tolist() == [0, 1]
+
     def test_column_selection(self, tmp_path):
         path = write(tmp_path / "seq.txt", "9 0.5 1.5\n9 0.25 2.5\n")
         store = load_sequences([path], LoadSchema(columns=[1, 2]))
@@ -292,6 +307,29 @@ class TestPreprocess:
         new_store = SequenceStore([np.array([[5.0, 20.0]])], ["b"], None)
         out = preprocess(new_store, record=trained.record)
         np.testing.assert_allclose(out.sequences[0], [[0.0, 3.0]])
+
+    @pytest.mark.parametrize("downsample", [1, 3])
+    @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant-dimension"])
+    def test_scaling_is_byte_and_stride_equal_to_the_formula(self, constant, downsample):
+        from rffseg.data import SequenceStore
+
+        rng = np.random.default_rng(5)
+        # one Fortran-ordered sequence, as the fast reader returns, one C-ordered
+        seqs = [rng.normal(size=(30, 3)).T, rng.normal(size=(3, 41))]
+        if constant:
+            for seq in seqs:
+                seq[1] = 2.5
+        out = preprocess(SequenceStore(seqs, ["a", "b"], None), downsample=downsample)
+        kept = [seq[:, ::downsample] for seq in seqs]
+        stacked = np.hstack(kept)
+        mins, maxs = stacked.min(axis=1), stacked.max(axis=1)
+        span = maxs - mins
+        safe = np.where(span > 0, span, 1.0)
+        for have, seq in zip(out.sequences, kept):
+            want = 2.0 * (seq - mins[:, None]) / safe[:, None] - 1.0
+            want[span == 0, :] = 0.0
+            assert (have.dtype, have.shape, have.strides, have.tobytes()) == \
+                (want.dtype, want.shape, want.strides, want.tobytes())
 
     def test_rejects_bad_downsample(self):
         from rffseg.data import SequenceStore

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 import rffseg.trainer
+from rffseg.blr import shared_precisions
 from rffseg.data import PatternSpec, SyntheticSpec, evaluate_nhd, generate_synthetic
 from rffseg.features import sample_feature_bank
-from rffseg.hsmm import InfeasibleSequenceError, forward_filter, forward_from_table
+from rffseg.hsmm import (
+    InfeasibleSequenceError,
+    Segment,
+    forward_filter,
+    forward_from_table,
+    tileable,
+)
 from rffseg.trainer import (
     BACKENDS,
     AuditError,
@@ -25,7 +32,7 @@ from rffseg.trainer import (
     train_with_restarts,
 )
 
-from helpers import TableEmitter, direct_log_table
+from helpers import TableEmitter, direct_log_table, reference_random_spans
 
 
 def small_store(seed=3, n_sequences=4, seq_length=120, sigma=0.05):
@@ -108,6 +115,137 @@ class TestInitialize:
                                mean_length=20.0)
         with pytest.raises(InfeasibleSequenceError, match=r"\[1\]"):
             initialize(seqs, config)
+
+
+# gapped windows such as [15, 16] leave some remainders no admissible length
+SPAN_WINDOWS = [(1, 1), (1, 3), (5, 18), (7, 9), (8, 24), (15, 16), (15, 30), (30, 30)]
+SPAN_GRID = [(n_frames, kmin, kmax) for kmin, kmax in SPAN_WINDOWS
+             for n_frames in (kmin, kmax, 2 * kmin + 1, 47, 120, 164, 400)
+             if tileable(n_frames, kmin, kmax)]
+
+
+def reference_assignments(sequences, config):
+    """``initialize``'s spans and labels, drawn with ``reference_random_spans``.
+
+    Returns ``(start, stop, label)`` lists, the class and transition
+    counts, and the generator afterwards.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    n_classes = config.n_classes
+    counts = np.zeros(n_classes, dtype=np.int64)
+    trans = np.zeros((n_classes, n_classes), dtype=np.int64)
+    assignments = []
+    for seq in sequences:
+        spans = reference_random_spans(seq.shape[1], config.kmin, config.kmax, rng)
+        labels = rng.integers(0, n_classes, size=len(spans))
+        assignments.append([(a, b, int(c)) for (a, b), c in zip(spans, labels)])
+        np.add.at(counts, labels, 1)
+        np.add.at(trans, (labels[:-1], labels[1:]), 1)
+    return assignments, counts, trans, rng
+
+
+class TestInitialDraws:
+    """``initialize`` draws exactly what the plain reference draws."""
+
+    @pytest.mark.parametrize("n_frames, kmin, kmax", SPAN_GRID)
+    def test_spans_follow_the_reference_draw_order(self, n_frames, kmin, kmax):
+        for seed in range(4):
+            have_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            have = rffseg.trainer._random_spans(n_frames, kmin, kmax, have_rng)
+            assert have == reference_random_spans(n_frames, kmin, kmax, want_rng)
+            assert all(type(a) is int and type(b) is int for a, b in have)
+            assert have_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kmin, kmax", [(8, 24), (15, 16)])
+    def test_assignments_and_counts_equal_the_reference(self, backend, kmin, kmax):
+        store = small_store(n_sequences=5, seq_length=120)
+        config = small_config(backend=backend, n_classes=4, kmin=kmin, kmax=kmax)
+        state = initialize(store.sequences, config)
+        assignments, counts, trans, rng = reference_assignments(store.sequences, config)
+        assert [[(s.start, s.stop, s.label) for s in segs]
+                for segs in state.assignments] == assignments
+        np.testing.assert_array_equal(state.hsmm.class_counts, counts)
+        np.testing.assert_array_equal(state.hsmm.transition_counts, trans)
+        assert state.rng.random() == rng.random()
+
+
+def replayed_rff(state, assignments):
+    """A fresh ``RffEmissions`` fed each segment through ``ClassModel.add_segment``."""
+    model = state.emissions.class_models[0]
+    emissions = RffEmissions(state.bank, len(state.emissions.class_models), model.n_dims,
+                             model.beta, model.psi)
+    for seq, segs in zip(state.sequences, assignments):
+        for seg in segs:
+            emissions.class_models[seg.label].add_segment(state.bank,
+                                                          seq[:, seg.start:seg.stop])
+    return emissions
+
+
+def emptied_class_corpus():
+    """An rff chain of 6 classes, and its assignments with class 5 folded into 0."""
+    spec = SyntheticSpec(
+        patterns=[PatternSpec(kind="sine"), PatternSpec(kind="ramp"),
+                  PatternSpec(kind="constant", value=0.3)],
+        n_dims=3, n_sequences=12, seq_length=140, block_min=10, block_max=20)
+    store = generate_synthetic(spec, seed=9)
+    state = initialize(store.sequences, small_config(n_classes=6, kmin=6, kmax=22))
+    gibbs_sweep(state)
+    assignments = [[Segment(s.start, s.stop, 0 if s.label == 5 else s.label)
+                    for s in segs] for segs in state.assignments]
+    return state, assignments
+
+
+class TestRebuild:
+    """``rebuild`` against the per-segment updates that sweeps make."""
+
+    def test_rff_rebuild_equals_a_per_segment_replay(self):
+        state, assignments = emptied_class_corpus()
+        model = state.emissions.class_models[0]
+        have = RffEmissions(state.bank, 6, model.n_dims, model.beta, model.psi)
+        have.rebuild(state.sequences, assignments)
+        want = replayed_rff(state, assignments)
+        for got, ref in ((have.precision, want.precision), (have.proj, want.proj)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert ([[st.n_points for st in m.stats] for m in have.class_models]
+                == [[st.n_points for st in m.stats] for m in want.class_models])
+        assert all(m.dirty for m in have.class_models)
+        for d in range(model.n_dims):
+            np.testing.assert_array_equal(have.precision[:, d], have.precision[:, 0])
+        shared_precisions(have.precision, range(6))
+        # the empty class is exactly the prior
+        m = state.bank.n_features
+        np.testing.assert_array_equal(have.precision[5],
+                                      np.broadcast_to(model.psi * np.eye(m), (3, m, m)))
+        np.testing.assert_array_equal(have.proj[5], np.zeros((3, m)))
+        assert have.class_models[5].n_points == 0
+
+    def test_rff_rebuild_replaces_earlier_statistics(self):
+        state, assignments = emptied_class_corpus()
+        fresh = RffEmissions(state.bank, 6, 3, 10.0, 1.0)
+        fresh.rebuild(state.sequences, assignments)
+        state.emissions.rebuild(state.sequences, assignments)  # holds a chain's statistics
+        np.testing.assert_array_equal(state.emissions.precision, fresh.precision)
+        np.testing.assert_array_equal(state.emissions.proj, fresh.proj)
+        assert ([m.n_points for m in state.emissions.class_models]
+                == [m.n_points for m in fresh.class_models])
+
+    def test_exact_gp_rebuild_equals_keyed_adds(self):
+        store = small_store(n_sequences=3, seq_length=60)
+        state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
+        want = ExactGpEmissions(3, 2, beta=10.0, lengthscale=1.0)
+        for seq_idx, (seq, segs) in enumerate(zip(state.sequences, state.assignments)):
+            for seg in segs:
+                want.add(seg.label, (seq_idx, seg.start, seg.stop), seq[:, seg.start:seg.stop])
+        for have, ref in zip(state.emissions.blocks, want.blocks):
+            assert list(have) == list(ref)
+            for key in have:
+                np.testing.assert_array_equal(have[key], ref[key])
+        seq = state.sequences[0]
+        for emissions in (state.emissions, want):
+            emissions.refresh()
+        np.testing.assert_array_equal(state.emissions.log_emission_tables(seq, 24),
+                                      want.log_emission_tables(seq, 24))
 
 
 class TestSweep:

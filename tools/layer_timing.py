@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the lattice layers, the rff posterior and the loader of two checkouts; check results.
+"""Time and check two checkouts' lattice layers, rff posterior, initialize and loader.
 
     python3 tools/layer_timing.py --parent ../parent --change .
 
@@ -27,6 +27,17 @@ features) absorb the same segments; each call marks the same
 so the two sides' tables are compared against ``REL_BOUND``, relative
 to each entry's magnitude (or to 1 below it), and a gap beyond it sets
 the exit status to 1.  It is timed in the same interleaved rounds.
+
+Then comes ``initialize`` at the ``train-rff`` shape: the change's
+``synth`` verb writes the bench-base corpus of seed 20, whose 3 files
+are passed 80 times to the change's ``load_sequences`` and
+``preprocess`` (240 sequences, 39,200 frames), and both sides'
+``initialize`` build an rff chain from it with the same seed.  Their
+assignments and class and transition counts must be equal, and their
+precision and projection stacks must agree within ``STACK_BOUND`` of
+each stack's largest entry; otherwise the exit status is 1.  It is
+timed in ``INIT_ROUNDS`` interleaved rounds of one call per side, and
+the report gives each side's minimum over the rounds.
 
 Last comes the loader.  The change's ``synth`` verb writes the
 benchmark's held-out shape (``--preset bench-base --sequences 240
@@ -59,6 +70,10 @@ LOAD_ROUNDS = 10
 M = 20
 DIRTY = (0, 1, 2, 4, 5, 7, 8, 10)  # 8 of 11 classes, as in a train-rff visit
 REL_BOUND = 1e-10
+TRAIN_CORPUS = ("--preset", "bench-base", "--seed", "20")
+TRAIN_COPIES = 80
+INIT_ROUNDS = 20
+STACK_BOUND = 1e-12
 
 
 def load_package(checkout: Path, name: str):
@@ -149,8 +164,11 @@ def per_call_us(call) -> float:
     return (time.perf_counter() - start) / CALLS * 1e6
 
 
-def compare_times(name, measure, rounds, unit) -> None:
-    """Alternate ``measure(side)`` over ``rounds`` rounds and print the comparison."""
+def compare_times(name, measure, rounds, unit, summary=statistics.median) -> None:
+    """Alternate ``measure(side)`` over ``rounds`` rounds and print the comparison.
+
+    Each side's times are reported by ``summary``, the median by default.
+    """
     times = {"parent": [], "change": []}
     for r in range(rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
@@ -158,8 +176,9 @@ def compare_times(name, measure, rounds, unit) -> None:
             times[side].append(measure(side))
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     wins = sum(r < 1.0 for r in ratios)
-    print(f"{name}: parent {statistics.median(times['parent']):.1f} {unit}, "
-          f"change {statistics.median(times['change']):.1f} {unit}, "
+    label = "" if summary is statistics.median else f" ({summary.__name__})"
+    print(f"{name}{label}: parent {summary(times['parent']):.1f} {unit}, "
+          f"change {summary(times['change']):.1f} {unit}, "
           f"change/parent {statistics.median(ratios):.3f} "
           f"(change faster in {wins}/{rounds} rounds)")
 
@@ -204,6 +223,46 @@ def time_posterior(parent, change) -> int:
     compare_times("refresh + log_emission_tables", lambda side: per_call_us(sides[side]),
                   ROUNDS, "us")
     return int(not gap <= REL_BOUND)
+
+
+def chain_outcome(state):
+    """A chain's assignments and counts, comparable across checkouts."""
+    return ([[(s.start, s.stop, s.label) for s in segs] for segs in state.assignments],
+            state.hsmm.class_counts.tolist(), state.hsmm.transition_counts.tolist())
+
+
+def time_initialize(parent, change) -> int:
+    """Compare and time both sides' ``initialize``; return the differences."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = change.cli.main(["synth", *TRAIN_CORPUS, "--out", tmp])
+        if code != 0:
+            raise SystemExit(f"synth exited with {code}")
+        paths = sorted(Path(tmp).glob("synthetic-*.txt")) * TRAIN_COPIES
+        schema = change.data.LoadSchema(label_column=change.data.bench_base_spec().n_dims)
+        sequences = change.data.preprocess(change.data.load_sequences(paths, schema)).sequences
+    sides = {"parent": parent.trainer, "change": change.trainer}
+
+    def build(side):
+        trainer = sides[side]
+        return trainer.initialize(sequences, trainer.TrainerConfig(n_classes=C, seed=20))
+
+    want, got = build("parent"), build("change")
+    equal = chain_outcome(want) == chain_outcome(got)
+    gap = max(float(np.max(np.abs(g - w)) / np.max(np.abs(w)))
+              for w, g in ((want.emissions.precision, got.emissions.precision),
+                           (want.emissions.proj, got.emissions.proj)))
+    print(f"initialize: {len(sequences)} sequences, {sum(s.shape[1] for s in sequences)} "
+          f"frames, assignments and counts {'equal' if equal else 'DIFFER'}, "
+          f"largest stack gap {gap:.1e} of the stack's max (bound {STACK_BOUND:.0e})")
+
+    def init_ms(side):
+        start = time.perf_counter()
+        build(side)
+        return (time.perf_counter() - start) * 1e3
+
+    compare_times("initialize", init_ms, INIT_ROUNDS, "ms", summary=min)
+    return int(not equal) + int(not gap <= STACK_BOUND)
 
 
 def loaded_bytes(data, paths, label_column):
@@ -253,6 +312,7 @@ def main() -> int:
     print(f"shape: C={C} D={D} K=[{KMIN}, {KMAX}] T={T}, {ROUNDS} rounds of {CALLS} calls")
     time_layers(parent.hsmm, change.hsmm)
     differing += time_posterior(parent, change)
+    differing += time_initialize(parent, change)
     differing += time_loader(parent, change)
     return 1 if differing else 0
 
