@@ -1,12 +1,12 @@
 """Per-class Bayesian linear regression over random Fourier features.
 
-Each segment class keeps one set of regression sufficient statistics per
-output dimension, stored as views of one precision stack and one
-projection stack.  Segments can be absorbed and released incrementally
-(rank-k updates).  The precision does not depend on the dimension, so a
-class's Gaussian posterior predictive is one Cholesky factorization of
-it and one triangular solve against the projections and the features
-together (:func:`posterior_predictive`); no inverse is formed.
+A class's regression depends only on its frame counts and sums at the
+within-segment positions ``1..K`` (:func:`grid_statistics`).  Its
+precision does not depend on the output dimension, so its Gaussian
+posterior predictive is one Cholesky factorization and one triangular
+solve against the projections and the features together
+(:func:`posterior_predictive`); no inverse is formed.  A standalone
+:class:`ClassModel` absorbs and releases segments one at a time.
 """
 
 from __future__ import annotations
@@ -20,29 +20,18 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from .features import FeatureBank
 from .hsmm import gaussian_log_table
 
-__all__ = ["RegressionStats", "ClassModel", "shared_precisions", "posterior_predictive"]
+__all__ = ["RegressionStats", "ClassModel", "grid_statistics", "posterior_predictive"]
 
 
-def shared_precisions(precision: np.ndarray, class_ids) -> np.ndarray:
-    """The ``(n, M, M)`` precisions that each class's dimensions share.
-
-    ``precision`` is the ``(n, D, M, M)`` statistics of the classes
-    ``class_ids``.  Raises ``ValueError`` naming the first class and
-    dimension whose copy is not bit-identical to dimension 0's, which
-    only a write to ``stats`` from outside a :class:`ClassModel` can
-    cause: every update there applies the same increment to each copy.
-    """
-    n, n_dims = precision.shape[:2]
-    flat = precision.reshape(n, n_dims, -1)
-    # each dimension against the one before it: contiguous rows, no broadcast
-    same = flat[:, 1:] == flat[:, :-1]
-    if not same.all():
-        i, d = np.argwhere(~same.all(axis=2))[0]
-        raise ValueError(
-            f"class {class_ids[i]}: the precision of dimension {d + 1} "
-            f"differs from that of dimension 0; every dimension must "
-            f"share one precision")
-    return precision[:, 0]
+def grid_statistics(counts: np.ndarray, sums: np.ndarray, phi: np.ndarray,
+                    beta: float, psi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, M, M)`` precisions ``psi*I + beta * Phi^T diag(n_c) Phi`` and
+    ``(n, D, M)`` projections ``beta * S_c^T Phi`` of ``n`` classes, from
+    their ``(n, K)`` frame counts and ``(n, K, D)`` frame sums at positions
+    ``1..K``, whose features are the rows of ``phi`` ``(K, M)``."""
+    gram = (counts[:, :, np.newaxis] * phi).transpose(0, 2, 1) @ phi
+    precision = psi * np.eye(phi.shape[1]) + beta * gram
+    return precision, sums.transpose(0, 2, 1) @ (beta * phi)
 
 
 def posterior_predictive(precision: np.ndarray, proj: np.ndarray, phi: np.ndarray,
@@ -95,21 +84,17 @@ class ClassModel:
 
     Every dimension shares one precision ``psi*I + beta * sum phi phi^T``,
     so the posterior is one factorization per class.  ``stats[d]``'s
-    ``precision`` and ``proj`` are views of a ``(D, M, M)`` precision
-    stack and a ``(D, M)`` projection stack, so one in-place operation
-    updates every dimension.  The stacks are the model's own, or the
-    ``precision`` and ``proj`` rows of an owner's stacks (see
-    ``RffEmissions``), which this model initializes.
+    ``precision`` and ``proj`` are views of the model's ``(D, M, M)``
+    precision stack and ``(D, M)`` projection stack, so one in-place
+    operation updates every dimension.
 
     No posterior is cached: :meth:`predictive` and
-    :meth:`log_emission_table` solve on every call.  ``dirty`` is set by
-    every statistics update, and must be set by a write to ``stats``
-    from outside; it tells an owner which classes to solve again.
+    :meth:`log_emission_table` solve on every call, so they read any
+    write to ``stats`` made from outside.
     """
 
     def __init__(self, class_id: int, n_dims: int, n_features: int,
-                 beta: float = 10.0, psi: float = 1.0,
-                 precision: np.ndarray | None = None, proj: np.ndarray | None = None):
+                 beta: float = 10.0, psi: float = 1.0):
         if beta <= 0 or psi <= 0:
             raise ValueError("beta and psi must be positive")
         self.class_id = class_id
@@ -117,15 +102,9 @@ class ClassModel:
         self.n_features = n_features
         self.beta = beta
         self.psi = psi
-        if precision is None:
-            precision = np.empty((n_dims, n_features, n_features))
-            proj = np.empty((n_dims, n_features))
-        self._precision = precision
-        self._proj = proj
-        self._precision[...] = psi * np.eye(n_features)
-        self._proj[...] = 0.0
+        self._precision = np.tile(psi * np.eye(n_features), (n_dims, 1, 1))
+        self._proj = np.zeros((n_dims, n_features))
         self.stats = [RegressionStats(p, q) for p, q in zip(self._precision, self._proj)]
-        self.dirty = True
 
     @property
     def n_points(self) -> int:
@@ -166,15 +145,24 @@ class ClassModel:
         self._proj += scale * (segment @ bank.position_features(k))  # (n_dims, n_features)
         for st in self.stats:
             st.n_points += sign * k
-        self.dirty = True
 
     def shared_precision(self) -> np.ndarray:
         """The precision matrix, which every dimension's statistics share.
 
-        Raises ``ValueError`` if the per-dimension copies are not
-        bit-identical (see :func:`shared_precisions`).
+        Raises ``ValueError`` naming the first dimension whose copy is not
+        bit-identical to dimension 0's, which only a write to ``stats``
+        from outside can cause: every update here applies the same
+        increment to each copy.
         """
-        return shared_precisions(self._precision[np.newaxis], [self.class_id])[0]
+        flat = self._precision.reshape(self.n_dims, -1)
+        # each dimension against the one before it: contiguous rows, no broadcast
+        same = (flat[1:] == flat[:-1]).all(axis=1)
+        if not same.all():
+            raise ValueError(
+                f"class {self.class_id}: the precision of dimension "
+                f"{int(np.argmin(same)) + 1} differs from that of dimension 0; "
+                f"every dimension must share one precision")
+        return self._precision[0]
 
     def refresh(self) -> None:
         """Check that the statistics can be solved: one shared precision.

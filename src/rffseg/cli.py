@@ -48,7 +48,7 @@ from .trainer import (
     train_with_restarts,
 )
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 THREADS_ENV = "RFFSEG_THREADS"
 

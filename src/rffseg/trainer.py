@@ -7,10 +7,9 @@ back.  Emission models are pluggable: the random-feature regression
 backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
 
 Each visit's ``posterior`` phase is the backend's ``refresh``.  For
-"rff" that solves, into stacked predictives at positions ``1..K``, only
-the classes whose statistics the visit changed: one factorization and
-one triangular solve each.  The ``emission`` phase then reads every
-class's ``(kmax, T)`` table from a prefix of those stacks.
+"rff" that is one factorization and one triangular solve of each class
+whose counts and sums the visit changed, into predictives at positions
+``1..kmax``; the ``emission`` phase reads every table from those.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blr import ClassModel, posterior_predictive, shared_precisions
+from .blr import ClassModel, grid_statistics, posterior_predictive
 from .exact_gp import GpClassData
 from .features import FeatureBank, sample_feature_bank
 from .hsmm import (
@@ -137,60 +136,72 @@ class _Phase:
 
 
 class RffEmissions:
-    """Incremental random-feature regression models, one per class.
+    """Random-feature regression models of every class, on the position grid.
 
-    The classes' statistics are one ``(C, D, M, M)`` precision stack and
-    one ``(C, D, M)`` projection stack; each ``ClassModel``'s ``stats``
-    are views of its rows.  The predictive at positions ``1..K`` is one
-    ``(C, K, D)`` mean stack and one ``(C, K)`` variance stack, ``K`` the
-    largest ``kmax`` asked for, so every smaller ``kmax`` reads a prefix.
-    :meth:`refresh` solves again only the classes marked ``dirty``.
-    Sweeps update the statistics one segment at a time (:meth:`add`,
-    :meth:`remove`); :meth:`rebuild` computes them from all assignments
-    at once.
+    A class's regression depends only on its ``counts`` ``(C, kmax)`` and
+    ``sums`` ``(C, kmax, D)`` of frames at each within-segment position,
+    which :meth:`add` and :meth:`remove` update a segment at a time and
+    :meth:`rebuild` sets at once.  :meth:`refresh` solves the ``dirty``
+    classes' predictive at positions ``1..kmax`` into ``(C, kmax, D)``
+    means and ``(C, kmax)`` variances, of which each table reads a prefix.
     """
 
     backend_name = "rff"
 
-    def __init__(self, bank: FeatureBank, n_classes: int, n_dims: int,
+    def __init__(self, bank: FeatureBank, n_classes: int, n_dims: int, kmax: int,
                  beta: float, psi: float):
         self.bank = bank
-        m = bank.n_features
-        self.precision = np.empty((n_classes, n_dims, m, m))
-        self.proj = np.empty((n_classes, n_dims, m))
-        self.class_models = [
-            ClassModel(c, n_dims, m, beta=beta, psi=psi,
-                       precision=self.precision[c], proj=self.proj[c])
-            for c in range(n_classes)
-        ]
-        self.means = np.empty((n_classes, 0, n_dims))
-        self.variances = np.empty((n_classes, 0))
+        self.beta = beta
+        self.psi = psi
+        self.counts = np.zeros((n_classes, kmax), dtype=np.int64)
+        self.sums = np.zeros((n_classes, kmax, n_dims))
+        self.dirty = np.ones(n_classes, dtype=bool)
+        self.means = np.empty((n_classes, kmax, n_dims))
+        self.variances = np.empty((n_classes, kmax))
 
     def add(self, label: int, key, segment: np.ndarray) -> None:
-        self.class_models[label].add_segment(self.bank, segment)
+        k = segment.shape[1]
+        self.sums[label, :k] += segment.T  # first: a segment longer than kmax raises
+        self.counts[label, :k] += 1
+        self.dirty[label] = True
 
     def remove(self, label: int, key, segment: np.ndarray) -> None:
-        self.class_models[label].remove_segment(self.bank, segment)
+        # counts never increase with position, so the last one bounds them all
+        k = segment.shape[1]
+        if self.counts[label, k - 1] < 1:
+            raise ValueError(f"class {label}: removing a {k}-frame segment from a class with "
+                             f"no frame at position {k} (caller bookkeeping bug)")
+        self.counts[label, :k] -= 1
+        self.sums[label, :k] -= segment.T
+        self.dirty[label] = True
 
     def refresh(self) -> None:
-        """Solve the dirty classes' predictives into their rows of the stacks.
-
-        One shared-precision check covers the whole stack (in place, it
-        costs less than copying out the dirty rows); then each dirty class
-        is factorized once (:func:`posterior_predictive`).
-        """
-        dirty = [c for c, model in enumerate(self.class_models) if model.dirty]
-        if not dirty:
+        """Build each dirty class's statistics from its grid, then solve them once."""
+        dirty = np.flatnonzero(self.dirty)
+        if dirty.size == 0:
             return
-        precision = shared_precisions(self.precision, range(len(self.class_models)))
-        positions = self.means.shape[1]
-        if positions == 0:
-            return  # no table asked for yet; the first one solves every class
+        phi = self.bank.position_features(self.counts.shape[1])
+        precision, proj = grid_statistics(self.counts[dirty], self.sums[dirty], phi,
+                                          self.beta, self.psi)
         self.means[dirty], self.variances[dirty] = posterior_predictive(
-            precision[dirty], self.proj[dirty], self.bank.position_features(positions),
-            self.class_models[0].beta)
-        for c in dirty:
-            self.class_models[c].dirty = False
+            precision, proj, phi, self.beta)
+        self.dirty[dirty] = False
+
+    @property
+    def class_models(self) -> list[ClassModel]:
+        """A standalone :class:`ClassModel` per class, built anew from the grid
+        on every read: writes to it do not reach this backend."""
+        n_classes, kmax, n_dims = self.sums.shape
+        precision, proj = grid_statistics(self.counts, self.sums,
+                                          self.bank.position_features(kmax), self.beta, self.psi)
+        models = [ClassModel(c, n_dims, self.bank.n_features, self.beta, self.psi)
+                  for c in range(n_classes)]
+        for c, (model, n_points) in enumerate(zip(models, self.counts.sum(axis=1).tolist())):
+            for st, row in zip(model.stats, proj[c]):
+                st.precision[...] = precision[c]
+                st.proj[...] = row
+                st.n_points = n_points
+        return models
 
     def emitters(self):
         """The ``emitters`` argument of ``forward_filter``: this object."""
@@ -198,36 +209,27 @@ class RffEmissions:
 
     def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
         """``(C, kmax, T)`` frame log densities of every class."""
-        if kmax > self.means.shape[1]:
-            # more positions than the stacks hold: every class is solved again
-            n_classes, _, n_dims = self.means.shape
-            self.means = np.empty((n_classes, kmax, n_dims))
-            self.variances = np.empty((n_classes, kmax))
-            for model in self.class_models:
-                model.dirty = True
+        if kmax > self.counts.shape[1]:
+            raise ValueError(
+                f"tables of {kmax} positions asked of a model of {self.counts.shape[1]}")
         self.refresh()
         return gaussian_log_table(self.means[:, :kmax], self.variances[:, :kmax], seq)
 
     def rebuild(self, sequences, assignments) -> None:
-        """Set every class's statistics from ``assignments`` in whole-array passes.
+        """Set every class's counts and sums from ``assignments`` in whole-array passes.
 
-        A class's statistics depend only on how many of its frames sit
-        at each within-segment position and on their sum there.  One
-        pass over the segments gives those as ``(C, K)`` counts ``n``
-        and ``(C, K, D)`` sums ``S`` (``K`` the longest segment); then
-        with the position features ``Phi`` (``(K, M)``) every class's
-        precision is ``psi*I + beta * Phi^T diag(n_c) Phi``, written to
-        each dimension's row, and its projections ``beta * S_c^T Phi``.
-        The per-segment updates of :meth:`add` and :meth:`remove` reach
-        the same statistics up to round-off, which the audit checks.
+        ``bincount`` over each assigned frame's (class, position) cell gives
+        the counts of :meth:`add` and :meth:`remove`, and weighted by each
+        dimension's frames their sums up to round-off, which the audit checks.
         """
-        n_classes, n_dims, m = self.proj.shape
+        n_classes, k, n_dims = self.sums.shape
         offsets = np.cumsum([0] + [seq.shape[1] for seq in sequences])
         spans = np.array([(offset + seg.start, seg.stop - seg.start, seg.label)
                           for offset, segs in zip(offsets, assignments) for seg in segs],
                          dtype=np.int64).reshape(-1, 3)
         starts, lengths, labels = spans.T
-        k = int(lengths.max(initial=0))
+        if lengths.max(initial=1) > k:
+            raise ValueError(f"a segment of {lengths.max()} frames: lengths must be <= {k}")
         ends = np.cumsum(lengths)
         # each assigned frame's 0-based position in its segment, its frame
         # in the concatenated corpus and its (class, position) cell, built
@@ -239,37 +241,26 @@ class RffEmissions:
         cells = np.repeat(labels * k, lengths)
         cells += positions
         del positions
-        counts = np.bincount(cells, minlength=n_classes * k).reshape(n_classes, k)
-        sums = np.empty((n_classes * k, n_dims))
+        self.counts[...] = np.bincount(cells, minlength=n_classes * k).reshape(n_classes, k)
+        sums = self.sums.reshape(n_classes * k, n_dims)
         row = np.empty(offsets[-1])
         for d in range(n_dims):
             # one dimension of the corpus at a time: no copy of the whole of it
             np.concatenate([seq[d] for seq in sequences], out=row)
             sums[:, d] = np.bincount(cells, weights=row[frames], minlength=n_classes * k)
-        phi = self.bank.position_features(k)
-        model = self.class_models[0]
-        gram = (counts[:, :, np.newaxis] * phi).transpose(0, 2, 1) @ phi  # (C, M, M)
-        self.precision[...] = (model.psi * np.eye(m) + model.beta * gram)[:, np.newaxis]
-        np.matmul(sums.reshape(n_classes, k, n_dims).transpose(0, 2, 1), model.beta * phi,
-                  out=self.proj)
-        for class_model, n_points in zip(self.class_models, counts.sum(axis=1).tolist()):
-            for st in class_model.stats:
-                st.n_points = n_points
-            class_model.dirty = True
+        self.dirty[...] = True
 
     def audit_deviation(self, sequences, assignments) -> float:
-        """Max-abs gap between incremental stats and a batch :meth:`rebuild`."""
-        model = self.class_models[0]
-        fresh = RffEmissions(self.bank, len(self.class_models), model.n_dims,
-                             model.beta, model.psi)
+        """Largest ``|sums|`` gap from a batch :meth:`rebuild`; counts must be equal."""
+        n_classes, kmax, n_dims = self.sums.shape
+        fresh = RffEmissions(self.bank, n_classes, n_dims, kmax, self.beta, self.psi)
         fresh.rebuild(sequences, assignments)
-        for cur, ref in zip(self.class_models, fresh.class_models):
-            if cur.n_points != ref.n_points:
-                raise AuditError(
-                    f"class {cur.class_id}: n_points {cur.n_points} != "
-                    f"batch value {ref.n_points}")
-        return max(np.max(np.abs(self.precision - fresh.precision)),
-                   np.max(np.abs(self.proj - fresh.proj)))
+        if not np.array_equal(self.counts, fresh.counts):
+            c = int(np.argmax((self.counts != fresh.counts).any(axis=1)))
+            raise AuditError(
+                f"class {c}: counts {self.counts[c].tolist()} != batch counts "
+                f"{fresh.counts[c].tolist()}")
+        return float(np.max(np.abs(self.sums - fresh.sums), initial=0.0))
 
 
 class ExactGpEmissions:
@@ -471,7 +462,7 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
                           kmax=config.kmax, mean_length=config.mean_length,
                           alpha=config.alpha)
         if config.backend == "rff":
-            emissions = RffEmissions(bank, config.n_classes, n_dims,
+            emissions = RffEmissions(bank, config.n_classes, n_dims, config.kmax,
                                      config.beta, config.psi)
         else:
             emissions = ExactGpEmissions(config.n_classes, n_dims,
@@ -574,8 +565,8 @@ def train_with_restarts(sequences, config: TrainerConfig) -> SegmentationResult:
 def snapshot_dict(state: TrainerState) -> dict:
     """Serializable model state: feature bank, class stats, chain counts.
 
-    An rff class is stored as its one shared precision, its ``(D, M)``
-    projections and its point count.
+    An rff class is stored as its frame counts and sums at each
+    within-segment position, which do not depend on the feature bank.
     """
     hsmm = state.hsmm
     out = {
@@ -594,13 +585,9 @@ def snapshot_dict(state: TrainerState) -> dict:
     }
     if state.emissions.backend_name == "rff":
         out["classes"] = [
-            {
-                "class_id": m.class_id,
-                "n_points": m.n_points,
-                "precision": m.shared_precision().tolist(),
-                "proj": [st.proj.tolist() for st in m.stats],
-            }
-            for m in state.emissions.class_models
+            {"class_id": c, "counts": counts, "sums": sums}
+            for c, (counts, sums) in enumerate(zip(state.emissions.counts.tolist(),
+                                                   state.emissions.sums.tolist()))
         ]
     else:
         state.emissions.refresh()
@@ -611,6 +598,18 @@ def snapshot_dict(state: TrainerState) -> dict:
     return out
 
 
+def integer_array(name: str, values) -> np.ndarray:
+    """``values`` as int64; ``ValueError`` naming ``name`` unless each is an
+    integer within int64 (a float with no fraction, as JSON may write one)."""
+    array = np.asarray(values)
+    if array.dtype.kind != "i":
+        for value in array.ravel().tolist():
+            if not (type(value) in (int, float) and -2**63 <= value < 2**63
+                    and float(value).is_integer()):
+                raise ValueError(f"{name} must hold integers within int64, got {value!r}")
+    return array.astype(np.int64)
+
+
 def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
                             lengthscale: float):
     """Rebuild an emission backend (and bank) from a snapshot dict.
@@ -619,27 +618,38 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     positions restarts at 1.  Raises ``ValueError`` for a backend not in
     ``BACKENDS``, when the snapshot was trained on a different number of
     dimensions than ``n_dims``, when ``beta``, ``psi`` or ``lengthscale``
-    is not finite and positive, or when a class's positions are not such
+    is not finite and positive, when an rff class's counts are not
+    ``hsmm.kmax`` non-negative integers or its sums not ``(kmax, n_dims)``
+    finite numbers, or when an exact-gp class's positions are not such
     runs.
     """
     if snap["backend"] not in BACKENDS:
         raise ValueError(
             f"snapshot backend {snap['backend']!r} is not one of {BACKENDS}")
-    if int(snap["n_dims"]) != n_dims:
+    if int(integer_array("n_dims", snap["n_dims"])) != n_dims:
         raise ValueError(
             f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")
     for name, value in (("beta", beta), ("psi", psi), ("lengthscale", lengthscale)):
         check_positive_finite(name, value)
     bank = FeatureBank.from_dict(snap["bank"])
     if snap["backend"] == "rff":
-        emissions = RffEmissions(bank, len(snap["classes"]), n_dims, beta, psi)
-        for entry, model in zip(snap["classes"], emissions.class_models):
-            precision = np.asarray(entry["precision"], dtype=np.float64)
-            for st, proj in zip(model.stats, entry["proj"]):
-                st.precision[...] = precision
-                st.proj[...] = proj
-                st.n_points = int(entry["n_points"])
-            model.dirty = True
+        kmax = int(integer_array("hsmm.kmax", snap["hsmm"]["kmax"]))
+        classes = snap["classes"]
+        counts = [integer_array(f"class {c} counts", e["counts"]) for c, e in enumerate(classes)]
+        sums = [np.asarray(e["sums"], dtype=np.float64) for e in classes]
+        for c, (n, x) in enumerate(zip(counts, sums)):
+            if n.shape != (kmax,) or x.shape != (kmax, n_dims):
+                raise ValueError(
+                    f"snapshot class {c}: counts and sums must have shapes ({kmax},) "
+                    f"and ({kmax}, {n_dims}), got {n.shape} and {x.shape}")
+            if (n < 0).any():
+                raise ValueError(f"snapshot class {c}: counts must not be negative, got {n.min()}")
+            if not np.isfinite(x).all():
+                raise ValueError(f"snapshot class {c}: sums must be finite")
+        # allocated once the shapes are known to be the data's
+        emissions = RffEmissions(bank, len(classes), n_dims, kmax, beta, psi)
+        emissions.counts[...] = np.reshape(counts, emissions.counts.shape)
+        emissions.sums[...] = np.reshape(sums, emissions.sums.shape)
     else:
         emissions = ExactGpEmissions(len(snap["classes"]), n_dims, beta, lengthscale)
         for c, entry in enumerate(snap["classes"]):
@@ -655,10 +665,11 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
 
 
 def hsmm_from_snapshot(snap: dict) -> HsmmParams:
+    """The chain's counts and settings from a snapshot dict (see :func:`integer_array`)."""
     h = snap["hsmm"]
-    return HsmmParams(
-        n_classes=int(h["n_classes"]), kmin=int(h["kmin"]), kmax=int(h["kmax"]),
-        mean_length=float(h["mean_length"]), alpha=float(h["alpha"]),
-        transition_counts=np.asarray(h["transition_counts"], dtype=np.int64),
-        class_counts=np.asarray(h["class_counts"], dtype=np.int64),
-    )
+    n_classes, kmin, kmax = (int(integer_array(f"hsmm.{name}", h[name]))
+                             for name in ("n_classes", "kmin", "kmax"))
+    counts = {name: integer_array(f"hsmm.{name}", h[name])
+              for name in ("transition_counts", "class_counts")}
+    return HsmmParams(n_classes=n_classes, kmin=kmin, kmax=kmax,
+                      mean_length=float(h["mean_length"]), alpha=float(h["alpha"]), **counts)

@@ -335,7 +335,7 @@ def test_one_factorization_per_dirty_class(monkeypatch):
 
     monkeypatch.setattr(rffseg.blr, "dpotrf", counting)
     bank = sample_feature_bank(20, 1.0, seed=4)
-    emissions = RffEmissions(bank, 5, 8, beta=BETA, psi=PSI)
+    emissions = RffEmissions(bank, 5, 8, 20, beta=BETA, psi=PSI)
     rng = np.random.default_rng(0)
     emissions.refresh()
     emissions.log_emission_tables(rng.normal(size=(8, 30)), 20)
@@ -377,25 +377,33 @@ def test_statistics_stay_views_of_the_stacks():
     np.testing.assert_allclose(posterior_mean(model).T, want, rtol=1e-10)
 
 
-def test_statistics_restored_from_a_snapshot_stay_views():
+def test_statistics_restored_from_a_snapshot_grid():
+    # oracle: a standalone model fed the same segments through add_segment
     rng = np.random.default_rng(14)
     model, bank = make_model(n_dims=3)
-    model.add_segment(bank, rng.normal(size=(3, 12)))
-    snap = json.loads(json.dumps({
-        "backend": "rff", "n_dims": 3, "bank": bank.to_dict(),
-        "classes": [{"class_id": 0, "n_points": model.n_points,
-                     "precision": model.shared_precision().tolist(),
-                     "proj": [st.proj.tolist() for st in model.stats]}]}))
-    restored_bank, emissions = emissions_from_snapshot(snap, 3, BETA, PSI, 1.0)
-    restored = emissions.class_models[0]
-    assert_bound_to_stacks(restored)
-    seq = rng.normal(size=(3, 30))
-    np.testing.assert_array_equal(restored.log_emission_table(restored_bank, seq, kmax=20),
-                                  model.log_emission_table(bank, seq, kmax=20))
-    seg = rng.normal(size=(3, 9))
-    restored.add_segment(restored_bank, seg)
+    seg = rng.normal(size=(3, 12))
     model.add_segment(bank, seg)
-    assert_bound_to_stacks(restored)
-    np.testing.assert_array_equal(restored.shared_precision(), model.shared_precision())
-    np.testing.assert_array_equal(restored.log_emission_table(restored_bank, seq, kmax=20),
-                                  model.log_emission_table(bank, seq, kmax=20))
+    counts = [1] * 12 + [0] * 8
+    sums = np.vstack([seg.T, np.zeros((8, 3))]).tolist()
+    snap = json.loads(json.dumps({
+        "backend": "rff", "n_dims": 3, "bank": bank.to_dict(), "hsmm": {"kmax": 20},
+        "classes": [{"class_id": 0, "counts": counts, "sums": sums}]}))
+    restored_bank, emissions = emissions_from_snapshot(snap, 3, BETA, PSI, 1.0)
+    np.testing.assert_array_equal(emissions.counts, [counts])
+    np.testing.assert_array_equal(emissions.sums, [sums])
+    seq = rng.normal(size=(3, 30))
+
+    def assert_same_tables():
+        restored = emissions.class_models[0]
+        assert_bound_to_stacks(restored)
+        assert restored.n_points == model.n_points
+        want = model.log_emission_table(bank, seq, kmax=20)
+        np.testing.assert_allclose(emissions.log_emission_tables(seq, 20)[0], want, rtol=1e-12)
+        np.testing.assert_allclose(restored.log_emission_table(restored_bank, seq, kmax=20),
+                                   want, rtol=1e-12)
+
+    assert_same_tables()
+    seg = rng.normal(size=(3, 9))
+    emissions.add(0, None, seg)
+    model.add_segment(bank, seg)
+    assert_same_tables()

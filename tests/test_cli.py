@@ -225,7 +225,7 @@ class TestTrain:
         again = FeatureBank.from_dict(
             json.loads((out / "model.json").read_text())["model"]["bank"])
         assert np.array_equal(bank.omegas, again.omegas)
-        assert snap["format_version"] == 2
+        assert snap["format_version"] == 3
         assert snap["preprocess"]["downsample"] == 1
         counts = np.asarray(snap["model"]["hsmm"]["transition_counts"])
         assert counts.shape == (3, 3)
@@ -287,7 +287,8 @@ class TestSegment:
                     *TRAIN_FLAGS]) == 0
         model = run_dir / "model.json"
         snap = json.loads(model.read_text())
-        for version in (1, 99):  # 1 stored a precision per dimension
+        # 1 stored a precision per dimension, 2 one precision per class
+        for version in (1, 2, 99):
             snap["format_version"] = version
             model.write_text(json.dumps(snap))
             capsys.readouterr()
@@ -327,7 +328,23 @@ class TestSegment:
         (lambda s: s["model"].update(backend="exact_gp"), "'exact_gp'"),
         (lambda s: s["config"].pop("beta"), "no key 'beta'"),
         (lambda s: s["model"].pop("hsmm"), "no key 'hsmm'"),
-        (lambda s: s["model"]["classes"][0].pop("proj"), "no key 'proj'"),
+        (lambda s: s["model"]["classes"][0].pop("sums"), "no key 'sums'"),
+        (lambda s: s["model"]["classes"][0]["counts"].__setitem__(0, -1),
+         "snapshot class 0: counts must not be negative, got -1"),
+        (lambda s: s["model"]["classes"][0]["counts"].__setitem__(0, 0.5),
+         "class 0 counts must hold integers within int64, got 0.5"),
+        (lambda s: s["model"]["classes"][0]["counts"].pop(),
+         "snapshot class 0: counts and sums must have shapes (22,) and (22, 2), "
+         "got (21,) and (22, 2)"),
+        (lambda s: s["model"]["classes"][0]["sums"][0].__setitem__(0, float("nan")),
+         "snapshot class 0: sums must be finite"),
+        (lambda s: s["model"]["hsmm"]["transition_counts"][0].__setitem__(0, 1e30),
+         "hsmm.transition_counts must hold integers within int64, got 1e+30"),
+        (lambda s: s["model"]["hsmm"].update(kmin=10.7),
+         "hsmm.kmin must hold integers within int64, got 10.7"),
+        (lambda s: s["model"]["hsmm"]["class_counts"].__setitem__(0, 2.5),
+         "hsmm.class_counts must hold integers within int64, got 2.5"),
+        (lambda s: s["model"].update(n_dims=2.5), "n_dims must hold integers within int64, got 2.5"),
         (lambda s: s["model"]["classes"].pop(), "stores 2 classes, its hsmm has 3"),
         (lambda s: s["model"]["hsmm"].update(transition_counts=[[1, 0], [0, 1]]),
          "transition_counts must have shape (3, 3) for 3 classes, got (2, 2)"),
@@ -353,7 +370,10 @@ class TestSegment:
          "lengthscale must be finite, got nan"),
         (lambda s: s["config"].update(lengthscale=float("inf")),
          "lengthscale must be finite, got inf"),
-    ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-proj",
+    ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums",
+            "grid-count-negative", "grid-count-fraction", "grid-counts-short",
+            "grid-sum-nan", "transitions-1e30", "kmin-fraction", "class-count-fraction",
+            "n-dims-fraction",
             "one-class-fewer", "transitions-2x2", "negative-count",
             "class-counts-short", "kmin-0", "alpha-0", "no-classes", "mean-length-0",
             "mean-length-nan", "mean-length-inf", "alpha-nan", "alpha-inf",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rffseg.trainer
-from rffseg.blr import shared_precisions
+from rffseg.blr import ClassModel, grid_statistics
 from rffseg.data import PatternSpec, SyntheticSpec, evaluate_nhd, generate_synthetic
 from rffseg.features import sample_feature_bank
 from rffseg.hsmm import (
@@ -170,15 +170,19 @@ class TestInitialDraws:
         assert state.rng.random() == rng.random()
 
 
+def fresh_rff(state):
+    """An empty ``RffEmissions`` of the same shape and settings as ``state``'s."""
+    n_classes, kmax, n_dims = state.emissions.sums.shape
+    return RffEmissions(state.bank, n_classes, n_dims, kmax, state.emissions.beta,
+                        state.emissions.psi)
+
+
 def replayed_rff(state, assignments):
-    """A fresh ``RffEmissions`` fed each segment through ``ClassModel.add_segment``."""
-    model = state.emissions.class_models[0]
-    emissions = RffEmissions(state.bank, len(state.emissions.class_models), model.n_dims,
-                             model.beta, model.psi)
-    for seq, segs in zip(state.sequences, assignments):
+    """A fresh ``RffEmissions`` fed each segment through ``add``, as a sweep feeds it."""
+    emissions = fresh_rff(state)
+    for seq_idx, (seq, segs) in enumerate(zip(state.sequences, assignments)):
         for seg in segs:
-            emissions.class_models[seg.label].add_segment(state.bank,
-                                                          seq[:, seg.start:seg.stop])
+            emissions.add(seg.label, (seq_idx, seg.start, seg.stop), seq[:, seg.start:seg.stop])
     return emissions
 
 
@@ -201,34 +205,68 @@ class TestRebuild:
 
     def test_rff_rebuild_equals_a_per_segment_replay(self):
         state, assignments = emptied_class_corpus()
-        model = state.emissions.class_models[0]
-        have = RffEmissions(state.bank, 6, model.n_dims, model.beta, model.psi)
+        have = fresh_rff(state)
         have.rebuild(state.sequences, assignments)
         want = replayed_rff(state, assignments)
-        for got, ref in ((have.precision, want.precision), (have.proj, want.proj)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert ([[st.n_points for st in m.stats] for m in have.class_models]
-                == [[st.n_points for st in m.stats] for m in want.class_models])
-        assert all(m.dirty for m in have.class_models)
-        for d in range(model.n_dims):
-            np.testing.assert_array_equal(have.precision[:, d], have.precision[:, 0])
-        shared_precisions(have.precision, range(6))
+        np.testing.assert_array_equal(have.counts, want.counts)
+        assert np.max(np.abs(have.sums - want.sums)) <= 1e-12 * np.max(np.abs(want.sums))
+        assert have.dirty.all()
         # the empty class is exactly the prior
-        m = state.bank.n_features
-        np.testing.assert_array_equal(have.precision[5],
-                                      np.broadcast_to(model.psi * np.eye(m), (3, m, m)))
-        np.testing.assert_array_equal(have.proj[5], np.zeros((3, m)))
-        assert have.class_models[5].n_points == 0
+        assert not have.counts[5].any() and not have.sums[5].any()
+        empty = have.class_models[5]
+        np.testing.assert_array_equal(empty.shared_precision(),
+                                      empty.psi * np.eye(state.bank.n_features))
+        assert empty.n_points == 0
 
     def test_rff_rebuild_replaces_earlier_statistics(self):
         state, assignments = emptied_class_corpus()
-        fresh = RffEmissions(state.bank, 6, 3, 10.0, 1.0)
+        fresh = fresh_rff(state)
         fresh.rebuild(state.sequences, assignments)
         state.emissions.rebuild(state.sequences, assignments)  # holds a chain's statistics
-        np.testing.assert_array_equal(state.emissions.precision, fresh.precision)
-        np.testing.assert_array_equal(state.emissions.proj, fresh.proj)
-        assert ([m.n_points for m in state.emissions.class_models]
-                == [m.n_points for m in fresh.class_models])
+        np.testing.assert_array_equal(state.emissions.counts, fresh.counts)
+        np.testing.assert_array_equal(state.emissions.sums, fresh.sums)
+
+    def test_grid_predictive_equals_per_segment_class_models(self):
+        # oracle: a standalone ClassModel per class, fed the same segments
+        # through add_segment and remove_segment, which never sees the grid
+        rng = np.random.default_rng(31)
+        n_classes, n_dims, kmax, beta, psi = 4, 3, 24, 10.0, 1.0
+        bank = sample_feature_bank(20, 1.0, seed=6)
+        emissions = RffEmissions(bank, n_classes, n_dims, kmax, beta, psi)
+        oracles = [ClassModel(c, n_dims, 20, beta=beta, psi=psi) for c in range(n_classes)]
+        lengths = [rng.integers(8, kmax + 1, size=6) for _ in range(3)]
+        sequences = [rng.normal(size=(n_dims, int(n.sum()))) for n in lengths]
+        assignments = [[Segment(int(a), int(b), int(rng.integers(n_classes)))
+                        for a, b in zip(np.cumsum(n) - n, np.cumsum(n))] for n in lengths]
+        for seq, segs in zip(sequences, assignments):
+            for seg in segs:
+                emissions.add(seg.label, None, seq[:, seg.start:seg.stop])
+                oracles[seg.label].add_segment(bank, seq[:, seg.start:seg.stop])
+        # empty class 3, and move every third segment to another class
+        for seq, segs in zip(sequences, assignments):
+            for i, seg in enumerate(segs):
+                if seg.label == 3 or i % 3 == 0:
+                    frames = seq[:, seg.start:seg.stop]
+                    emissions.remove(seg.label, None, frames)
+                    oracles[seg.label].remove_segment(bank, frames)
+                    segs[i] = Segment(seg.start, seg.stop, (seg.label + 1) % 3)
+                    emissions.add(segs[i].label, None, frames)
+                    oracles[segs[i].label].add_segment(bank, frames)
+        assert not emissions.counts[3].any()
+        emissions.refresh()
+        taus = np.arange(1, kmax + 1, dtype=np.float64)
+        for c, oracle in enumerate(oracles):
+            means, variances = oracle.predictive(bank, taus)
+            for got, want in ((emissions.means[c], means),
+                              (emissions.variances[c], variances[:, 0])):
+                assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        rebuilt = RffEmissions(bank, n_classes, n_dims, kmax, beta, psi)
+        rebuilt.rebuild(sequences, assignments)
+        np.testing.assert_array_equal(rebuilt.counts, emissions.counts)
+        counts = emissions.counts.copy()
+        with pytest.raises(ValueError, match="class 3: .*bookkeeping"):
+            emissions.remove(3, None, sequences[0][:, :8])
+        np.testing.assert_array_equal(emissions.counts, counts)
 
     def test_exact_gp_rebuild_equals_keyed_adds(self):
         store = small_store(n_sequences=3, seq_length=60)
@@ -295,13 +333,12 @@ class TestSweep:
                 gibbs_sweep(state)  # audit=True checks inside
 
 
-def nudge_projection(state):
-    state.emissions.class_models[0].stats[0].proj += 1e-3
+def nudge_a_sum(state):
+    state.emissions.sums[0, 0, 0] += 1e-3
 
 
 def count_an_extra_point(state):
-    for st in state.emissions.class_models[0].stats:
-        st.n_points += 1
+    state.emissions.counts[0, 0] += 1
 
 
 def drop_a_block(state):
@@ -325,8 +362,8 @@ def count_an_extra_segment(state):
 
 class TestAudit:
     @pytest.mark.parametrize("backend, damage, message", [
-        ("rff", nudge_projection, "drifted 1.000e-03 from batch rebuild"),
-        ("rff", count_an_extra_point, "class 0: n_points"),
+        ("rff", nudge_a_sum, "drifted 1.000e-03 from batch rebuild"),
+        ("rff", count_an_extra_point, "class 0: counts"),
         ("exact-gp", drop_a_block, "class 0: tracked segment keys diverge"),
         ("exact-gp", shift_a_payload, "class 0: segment .* payload diverges"),
         ("rff", count_an_extra_transition, "transition counts diverge"),
@@ -451,7 +488,7 @@ class TestEmissionTables:
         # offset 1e4 with 0.1 residuals: un-normalized data far from zero
         rng = np.random.default_rng(3)
         if backend == "rff":
-            emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=8), 3, 3,
+            emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=8), 3, 3, 25,
                                      beta=10.0, psi=1.0)
         else:
             emissions = ExactGpEmissions(3, 3, beta=10.0, lengthscale=1.0)
@@ -492,9 +529,9 @@ class TestEmissionTables:
 
 
 def filled_rff(n_classes=5, n_dims=3, seed=4):
-    """An ``RffEmissions`` holding a few random segments in every class."""
+    """An ``RffEmissions`` of 24 positions holding a few random segments in every class."""
     rng = np.random.default_rng(seed)
-    emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=seed), n_classes, n_dims,
+    emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=seed), n_classes, n_dims, 24,
                              beta=10.0, psi=1.0)
     for c in range(n_classes):
         for i in range(3):
@@ -525,7 +562,9 @@ class TestRffPosterior:
         emissions.log_emission_tables(seq, 24)
         # one solve, of classes 1 and 3 only, each once
         assert len(solved) == 1
-        np.testing.assert_array_equal(solved[0], emissions.proj[[1, 3]])
+        np.testing.assert_array_equal(
+            solved[0], grid_statistics(emissions.counts[[1, 3]], emissions.sums[[1, 3]],
+                                       emissions.bank.position_features(24), 10.0, 1.0)[1])
         for c in (0, 2, 4):
             np.testing.assert_array_equal(emissions.means[c], means[c])
             np.testing.assert_array_equal(emissions.variances[c], variances[c])
@@ -546,32 +585,31 @@ class TestRffPosterior:
             np.testing.assert_array_equal(emissions.means[c], means)
             np.testing.assert_array_equal(emissions.variances[c], variances[:, 0])
 
-    def test_more_positions_solve_every_class_again(self):
+    def test_more_positions_than_kmax_are_refused(self):
         emissions, rng = filled_rff()
         seq = rng.normal(size=(3, 40))
-        short = emissions.log_emission_tables(seq, 9)
-        assert emissions.means.shape == (5, 9, 3)
-        long = emissions.log_emission_tables(seq, 30)
-        assert emissions.means.shape == (5, 30, 3)
-        np.testing.assert_allclose(long[:, :9], short, rtol=1e-12)
-        np.testing.assert_array_equal(emissions.log_emission_tables(seq, 9), long[:, :9])
+        with pytest.raises(ValueError, match="25 positions asked of a model of 24"):
+            emissions.log_emission_tables(seq, 25)
+        np.testing.assert_array_equal(emissions.log_emission_tables(seq, 9),
+                                      emissions.log_emission_tables(seq, 24)[:, :9])
 
-    def test_statistics_are_views_of_the_stacks(self):
-        emissions, _ = filled_rff()
-        for c, model in enumerate(emissions.class_models):
-            for d, st in enumerate(model.stats):
-                assert np.shares_memory(st.precision, emissions.precision[c, d])
-                assert np.shares_memory(st.proj, emissions.proj[c, d])
+    def test_class_models_are_standalone_copies_of_the_grid(self):
+        emissions, rng = filled_rff()
+        seq = rng.normal(size=(3, 40))
+        models = emissions.class_models
+        assert [m.n_points for m in models] == emissions.counts.sum(axis=1).tolist()
+        # a write to a model does not reach the backend
+        before = emissions.log_emission_tables(seq, 24)
+        models[1].add_segment(emissions.bank, rng.normal(size=(3, 12)))
+        np.testing.assert_array_equal(emissions.log_emission_tables(seq, 24), before)
+        assert emissions.class_models[1].n_points == models[1].n_points - 12
 
     def test_disagreeing_precision_names_class_and_dimension(self):
-        emissions, rng = filled_rff()
-        emissions.log_emission_tables(rng.normal(size=(3, 40)), 24)
-        emissions.class_models[1].stats[2].precision[0, 0] += 1e-9
-        emissions.class_models[1].dirty = True
+        emissions, _ = filled_rff()
+        model = emissions.class_models[1]
+        model.stats[2].precision[0, 0] += 1e-9
         with pytest.raises(ValueError, match="class 1: the precision of dimension 2"):
-            emissions.refresh()
-        with pytest.raises(ValueError, match="class 1: the precision of dimension 2"):
-            emissions.class_models[1].predictive(emissions.bank, 3.0)
+            model.predictive(emissions.bank, 3.0)
 
 
 class TestSnapshot:
@@ -583,8 +621,8 @@ class TestSnapshot:
         snap = json.loads(json.dumps(snapshot_dict(state)))
         assert snap["n_dims"] == 2
         if backend == "rff":
-            assert np.shape(snap["classes"][0]["precision"]) == (20, 20)
-            assert np.shape(snap["classes"][0]["proj"]) == (2, 20)
+            assert np.shape(snap["classes"][0]["counts"]) == (config.kmax,)
+            assert np.shape(snap["classes"][0]["sums"]) == (config.kmax, 2)
         bank, emissions = emissions_from_snapshot(
             snap, 2, config.beta, config.psi, config.lengthscale)
         seq = store.sequences[0]

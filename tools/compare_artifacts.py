@@ -12,7 +12,9 @@ run to the next: the build id, the timings, the environment, trial and
 mean seconds, phase means and speed-up ratios.  Each file that still
 differs is printed, a JSON file with the keys that differ, and the exit
 status is 1 if any does (2 if a command fails).  A differing number, or
-line of comma-separated numbers, is shown with its relative gap.
+line of comma-separated numbers, is shown with its relative gap: relative
+to the larger magnitude, or to 1 below it, so that round-off against an
+exact zero does not read as a gap of 1.
 """
 
 import argparse
@@ -128,7 +130,8 @@ def differences(parent, change, where: str = ""):
 
 def relative_gap(parent, change):
     """Largest relative gap of two numbers or two comma-separated lines of
-    numbers, field by field; ``None`` when either is anything else."""
+    numbers, field by field, each relative to the larger magnitude or to 1
+    below it; ``None`` when either is anything else."""
     def numbers(value):
         cells = value.split(",") if isinstance(value, str) else [value]
         return [float(v) for v in cells]
@@ -136,7 +139,7 @@ def relative_gap(parent, change):
         pairs = list(zip(numbers(parent), numbers(change), strict=True))
     except (TypeError, ValueError):
         return None
-    return max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in pairs)
+    return max(abs(a - b) / max(abs(a), abs(b), 1.0) for a, b in pairs)
 
 
 def main() -> int:
