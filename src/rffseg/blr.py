@@ -134,15 +134,16 @@ class ClassModel:
     def _accumulate(self, bank: FeatureBank, segment: np.ndarray, sign: int) -> None:
         """Add ``sign`` times the segment's statistics to every dimension.
 
-        Within-segment times are 1-based, so the segment's features and
-        Gram are the bank's first k rows and its k-th prefix Gram.  The
-        Gram goes into the whole precision stack and the projections into
-        the projection stack, one in-place add each.
+        Within-segment times are 1-based, so the segment's features are
+        the bank's first k rows.  Their Gram goes into the whole precision
+        stack and the projections into the projection stack, one in-place
+        add each.
         """
         k = segment.shape[1]
+        phi = bank.position_features(k)
         scale = sign * self.beta
-        self._precision += scale * bank.prefix_gram(k)
-        self._proj += scale * (segment @ bank.position_features(k))  # (n_dims, n_features)
+        self._precision += scale * (phi.T @ phi)
+        self._proj += scale * (segment @ phi)  # (n_dims, n_features)
         for st in self.stats:
             st.n_points += sign * k
 

@@ -292,6 +292,9 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     store = load_sequences(cfg.data, cfg.schema())
     try:
         model_cfg = snap["config"]
+        if not isinstance(snap["model"], dict):
+            raise ValueError(f"snapshot model must be a JSON object, "
+                             f"got {type(snap['model']).__name__}")
         if snap.get("preprocess"):
             record = PreprocessRecord.from_dict(snap["preprocess"])
             store = preprocess(store, downsample=record.downsample,

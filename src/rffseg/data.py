@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .hsmm import integer_array
+
 __all__ = [
     "DataFormatError",
     "LoadSchema",
@@ -90,9 +92,14 @@ class PreprocessRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessRecord":
+        """The record ``to_dict`` wrote; ``ValueError`` for a ``downsample``
+        that is not one integer or a ``normalized`` that is not a boolean."""
+        if not isinstance(d["normalized"], bool):
+            raise ValueError(
+                f"preprocess.normalized must be true or false, got {d['normalized']!r}")
         return cls(
-            downsample=int(d["downsample"]),
-            normalized=bool(d["normalized"]),
+            downsample=int(integer_array("preprocess.downsample", d["downsample"], ())),
+            normalized=d["normalized"],
             mins=None if d.get("mins") is None else np.asarray(d["mins"], dtype=np.float64),
             maxs=None if d.get("maxs") is None else np.asarray(d["maxs"], dtype=np.float64),
         )
@@ -287,7 +294,8 @@ def preprocess(store: SequenceStore, downsample: int = 1,
     Normalization statistics are pooled over all sequences so duplicated
     sequences normalize identically; constant dimensions map to zero.
     Passing a ``record`` reapplies previously computed statistics
-    (needed to label new data with a trained model).
+    (needed to label new data with a trained model); its ``mins`` and
+    ``maxs`` must be one finite number per dimension.
     """
     if downsample < 1:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
@@ -300,10 +308,13 @@ def preprocess(store: SequenceStore, downsample: int = 1,
         rec = PreprocessRecord(downsample=downsample, normalized=False)
         return SequenceStore(seqs, list(store.names), labels, rec)
     if record is not None and record.mins is not None:
-        if record.mins.shape[0] != seqs[0].shape[0]:
-            raise ValueError(
-                f"normalization record covers {record.mins.shape[0]} dimensions, "
-                f"data has {seqs[0].shape[0]}")
+        n_dims = seqs[0].shape[0]
+        for name, bounds in (("mins", record.mins), ("maxs", record.maxs)):
+            if np.shape(bounds) != (n_dims,):
+                raise ValueError(f"normalization record covers {np.size(bounds)} dimensions, "
+                                 f"data has {n_dims}: {name} has shape {np.shape(bounds)}")
+            if not np.isfinite(bounds).all():
+                raise ValueError(f"normalization record's {name} must be finite")
         mins, maxs = record.mins, record.maxs
     else:
         stacked = np.hstack(seqs)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hsmm import integer_array
+
 __all__ = ["FeatureBank", "sample_feature_bank"]
 
 
@@ -20,10 +22,9 @@ class FeatureBank:
     """Sampled spectral frequencies and phases defining the feature map.
 
     The sampled values are immutable after construction and
-    :meth:`phi` is pure.  The features at
-    within-segment positions and their prefix Grams are memoised on the
-    bank, once for every class and dimension that shares it; the cached
-    arrays are read-only.
+    :meth:`phi` is pure.  The features at within-segment positions are
+    memoised on the bank, once for every class and dimension that shares
+    it; the cached array is read-only.
     """
 
     n_features: int
@@ -32,7 +33,6 @@ class FeatureBank:
     omegas: np.ndarray
     phases: np.ndarray
     _positions: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_features < 1:
@@ -71,20 +71,6 @@ class FeatureBank:
             object.__setattr__(self, "_positions", cached)
         return cached[:length]
 
-    def prefix_gram(self, length: int) -> np.ndarray:
-        """``Phi^T Phi`` over positions ``1..length``, shape ``(M, M)``.
-
-        A segment always starts at position 1, so this is the Gram of
-        every segment of that length.  Cached per length.
-        """
-        gram = self._grams.get(length)
-        if gram is None:
-            phi = self.position_features(length)
-            gram = phi.T @ phi
-            gram.setflags(write=False)
-            self._grams[length] = gram
-        return gram
-
     def to_dict(self) -> dict:
         return {
             "n_features": self.n_features,
@@ -96,10 +82,11 @@ class FeatureBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureBank":
+        """The bank ``to_dict`` wrote; see :func:`~rffseg.hsmm.integer_array`."""
         return cls(
-            n_features=int(d["n_features"]),
+            n_features=int(integer_array("bank.n_features", d["n_features"], ())),
             lengthscale=float(d["lengthscale"]),
-            seed=int(d["seed"]),
+            seed=int(integer_array("bank.seed", d["seed"], (), np.uint64)),
             omegas=np.asarray(d["omegas"], dtype=np.float64),
             phases=np.asarray(d["phases"], dtype=np.float64),
         )

@@ -66,6 +66,31 @@ class Segment:
         return self.stop - self.start
 
 
+def check_positive_finite(name: str, value: float, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is finite and > 0."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise error(f"{name} must be > 0, got {value}")
+
+
+def integer_array(name: str, values, shape=None, dtype=np.int64) -> np.ndarray:
+    """``values`` as ``dtype``; ``ValueError`` naming ``name`` unless each is an
+    integer within ``dtype`` (a float with no fraction, as JSON may write one)
+    and, if ``shape`` is given, the array has that shape (``()`` for one value)."""
+    array = np.asarray(values)
+    if array.dtype != dtype:
+        info = np.iinfo(dtype)
+        for value in array.ravel().tolist():
+            if not (type(value) in (int, float) and info.min <= value <= info.max
+                    and float(value).is_integer()):
+                raise ValueError(f"{name} must hold integers within {info.dtype}, "
+                                 f"got {value!r}")
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    return array.astype(dtype)
+
+
 def _poisson_logpmf(k: int, lam: float) -> float:
     return k * math.log(lam) - lam - math.lgamma(k + 1)
 
@@ -103,11 +128,7 @@ class HsmmParams:
             raise ValueError(
                 f"need 1 <= kmin <= kmax, got kmin={self.kmin} kmax={self.kmax}")
         for name in ("mean_length", "alpha"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            check_positive_finite(name, getattr(self, name))
         if not (self.kmin <= self.mean_length <= self.kmax):
             warnings.warn(
                 f"mean segment length {self.mean_length} lies outside "

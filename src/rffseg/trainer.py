@@ -15,7 +15,6 @@ whose counts and sums the visit changed, into predictives at positions
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -29,8 +28,10 @@ from .hsmm import (
     InfeasibleSequenceError,
     Segment,
     backward_sample,
+    check_positive_finite,
     forward_filter,
     gaussian_log_table,
+    integer_array,
     tileable,
 )
 
@@ -99,14 +100,6 @@ class TrainerConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
 
 
-def check_positive_finite(name: str, value: float, error=ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is finite and > 0."""
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value}")
-    if value <= 0:
-        raise error(f"{name} must be > 0, got {value}")
-
-
 class PhaseTimer:
     """Wall-clock accumulator for the training phases."""
 
@@ -140,7 +133,7 @@ class RffEmissions:
 
     A class's regression depends only on its ``counts`` ``(C, kmax)`` and
     ``sums`` ``(C, kmax, D)`` of frames at each within-segment position,
-    which :meth:`add` and :meth:`remove` update a segment at a time and
+    which :meth:`add` and :meth:`remove` update a sequence at a time and
     :meth:`rebuild` sets at once.  :meth:`refresh` solves the ``dirty``
     classes' predictive at positions ``1..kmax`` into ``(C, kmax, D)``
     means and ``(C, kmax)`` variances, of which each table reads a prefix.
@@ -159,21 +152,24 @@ class RffEmissions:
         self.means = np.empty((n_classes, kmax, n_dims))
         self.variances = np.empty((n_classes, kmax))
 
-    def add(self, label: int, key, segment: np.ndarray) -> None:
-        k = segment.shape[1]
-        self.sums[label, :k] += segment.T  # first: a segment longer than kmax raises
-        self.counts[label, :k] += 1
-        self.dirty[label] = True
+    def add(self, key, seq: np.ndarray, segments) -> None:
+        for seg in segments:  # key is unused: the grid keeps no sequence apart
+            k = seg.stop - seg.start
+            # sums first: a segment longer than kmax raises
+            self.sums[seg.label, :k] += seq[:, seg.start:seg.stop].T
+            self.counts[seg.label, :k] += 1
+            self.dirty[seg.label] = True
 
-    def remove(self, label: int, key, segment: np.ndarray) -> None:
-        # counts never increase with position, so the last one bounds them all
-        k = segment.shape[1]
-        if self.counts[label, k - 1] < 1:
-            raise ValueError(f"class {label}: removing a {k}-frame segment from a class with "
-                             f"no frame at position {k} (caller bookkeeping bug)")
-        self.counts[label, :k] -= 1
-        self.sums[label, :k] -= segment.T
-        self.dirty[label] = True
+    def remove(self, key, seq: np.ndarray, segments) -> None:
+        for seg in segments:
+            # counts never increase with position, so the last one bounds them all
+            k = seg.stop - seg.start
+            if self.counts[seg.label, k - 1] < 1:
+                raise ValueError(f"class {seg.label}: removing a {k}-frame segment from a class "
+                                 f"with no frame at position {k} (caller bookkeeping bug)")
+            self.counts[seg.label, :k] -= 1
+            self.sums[seg.label, :k] -= seq[:, seg.start:seg.stop].T
+            self.dirty[seg.label] = True
 
     def refresh(self) -> None:
         """Build each dirty class's statistics from its grid, then solve them once."""
@@ -266,9 +262,9 @@ class RffEmissions:
 class ExactGpEmissions:
     """Pooled-point Gaussian-process models, one per class.
 
-    Segments are tracked as keyed blocks so removal restores the exact
-    point set; any change triggers a full Gram rebuild at the next
-    refresh.
+    ``assigned`` maps each sequence's key to its frames and segments, held
+    by reference in the order added.  :meth:`refresh` pools each changed
+    class's segments in that order and rebuilds its Gram in full.
     """
 
     backend_name = "exact-gp"
@@ -279,36 +275,37 @@ class ExactGpEmissions:
             GpClassData(n_dims, beta=beta, lengthscale=lengthscale)
             for _ in range(n_classes)
         ]
-        self.blocks = [dict() for _ in range(n_classes)]
-        self._dirty = [True] * n_classes
+        self.assigned = {}
+        self.dirty = np.ones(n_classes, dtype=bool)
 
-    def add(self, label: int, key, segment: np.ndarray) -> None:
-        if key in self.blocks[label]:
-            raise ValueError(f"duplicate segment key {key} in class {label}")
-        self.blocks[label][key] = np.asarray(segment, dtype=np.float64)
-        self._dirty[label] = True
+    def add(self, key, seq: np.ndarray, segments) -> None:
+        if key in self.assigned:
+            raise ValueError(f"sequence {key!r} is already assigned")
+        self.assigned[key] = (seq, segments)
+        self.dirty[[seg.label for seg in segments]] = True
 
-    def remove(self, label: int, key, segment: np.ndarray) -> None:
-        del self.blocks[label][key]
-        self._dirty[label] = True
+    def remove(self, key, seq: np.ndarray, segments) -> None:
+        if key not in self.assigned or self.assigned[key][1] != segments:
+            raise ValueError(f"sequence {key!r}: removing segments it is not assigned "
+                             f"(caller bookkeeping bug)")
+        del self.assigned[key]
+        self.dirty[[seg.label for seg in segments]] = True
 
     def refresh(self) -> None:
-        for c, data in enumerate(self.class_models):
-            if not self._dirty[c]:
-                continue
-            taus, values = self._pooled(c)
-            data.set_points(taus, values)
-            data.refresh()
-            self._dirty[c] = False
-
-    def _pooled(self, label: int):
-        blocks = list(self.blocks[label].values())
-        if not blocks:
-            return np.zeros(0), np.zeros((0, self.class_models[label].n_dims))
-        taus = np.concatenate([np.arange(1, b.shape[1] + 1, dtype=np.float64)
-                               for b in blocks])
-        values = np.vstack([b.T for b in blocks])
-        return taus, values
+        """Pool every dirty class's segments in one pass and rebuild its Gram."""
+        n_dims = self.class_models[0].n_dims
+        pooled = {c: ([np.zeros(0)], [np.zeros((0, n_dims))])
+                  for c in np.flatnonzero(self.dirty).tolist()}
+        for seq, segments in self.assigned.values():
+            for seg in segments:
+                if seg.label in pooled:
+                    taus, values = pooled[seg.label]
+                    taus.append(np.arange(1, seg.stop - seg.start + 1, dtype=np.float64))
+                    values.append(seq[:, seg.start:seg.stop].T)
+        for c, (taus, values) in pooled.items():
+            self.class_models[c].set_points(np.concatenate(taus), np.vstack(values))
+            self.class_models[c].refresh()
+        self.dirty[...] = False
 
     def emitters(self):
         """The ``emitters`` argument of ``forward_filter``: this object."""
@@ -321,30 +318,21 @@ class ExactGpEmissions:
         return gaussian_log_table(np.array(means), np.array(variances), seq)
 
     def rebuild(self, sequences, assignments) -> None:
-        """Set every class's blocks to the segments ``assignments`` give it."""
-        self.blocks = _keyed_blocks(len(self.class_models), sequences, assignments)
-        self._dirty = [True] * len(self.class_models)
+        """Assign each sequence, keyed by its index, the segments ``assignments`` give it."""
+        self.assigned = dict(enumerate(zip(sequences, assignments)))
+        self.dirty[...] = True
 
     def audit_deviation(self, sequences, assignments) -> float:
-        expected = _keyed_blocks(len(self.class_models), sequences, assignments)
-        for c, (have, want) in enumerate(zip(self.blocks, expected)):
-            if set(have) != set(want):
-                raise AuditError(
-                    f"class {c}: tracked segment keys diverge from assignments")
-            for key in have:
-                if not np.array_equal(have[key], want[key]):
-                    raise AuditError(f"class {c}: segment {key} payload diverges")
+        """0.0; ``AuditError`` names the first sequence stored otherwise than given."""
+        if len(self.assigned) != len(sequences):
+            raise AuditError(f"{len(self.assigned)} sequences tracked, {len(sequences)} given")
+        for i, (seq, segs) in enumerate(zip(sequences, assignments)):
+            frames, stored = self.assigned.get(i, (None, None))
+            if stored != segs:
+                raise AuditError(f"sequence {i}: tracked segments diverge from assignments")
+            if not np.array_equal(frames, seq):
+                raise AuditError(f"sequence {i}: tracked frames diverge from the sequence")
         return 0.0
-
-
-def _keyed_blocks(n_classes: int, sequences, assignments) -> list:
-    """Per class, its segments' frames keyed by ``(sequence, start, stop)``."""
-    blocks = [dict() for _ in range(n_classes)]
-    for seq_idx, segs in enumerate(assignments):
-        for seg in segs:
-            blocks[seg.label][(seq_idx, seg.start, seg.stop)] = \
-                sequences[seq_idx][:, seg.start:seg.stop]
-    return blocks
 
 
 @dataclass
@@ -496,9 +484,7 @@ def gibbs_sweep(state: TrainerState) -> TrainerState:
             seq_idx = int(seq_idx)
             seq = state.sequences[seq_idx]
             old = state.assignments[seq_idx]
-            for seg in old:
-                state.emissions.remove(seg.label, (seq_idx, seg.start, seg.stop),
-                                       seq[:, seg.start:seg.stop])
+            state.emissions.remove(seq_idx, seq, old)
             state.hsmm.release_labels([seg.label for seg in old])
         with state.timer.phase("posterior"):
             state.emissions.refresh()
@@ -507,9 +493,7 @@ def gibbs_sweep(state: TrainerState) -> TrainerState:
             new = backward_sample(lattice, state.hsmm, state.rng)
             sweep_loglik += lattice.total_loglik
         with state.timer.phase("stats"):
-            for seg in new:
-                state.emissions.add(seg.label, (seq_idx, seg.start, seg.stop),
-                                    seq[:, seg.start:seg.stop])
+            state.emissions.add(seq_idx, seq, new)
             state.hsmm.absorb_labels([seg.label for seg in new])
             state.assignments[seq_idx] = new
     state.loglik_trace.append(sweep_loglik)
@@ -598,42 +582,31 @@ def snapshot_dict(state: TrainerState) -> dict:
     return out
 
 
-def integer_array(name: str, values) -> np.ndarray:
-    """``values`` as int64; ``ValueError`` naming ``name`` unless each is an
-    integer within int64 (a float with no fraction, as JSON may write one)."""
-    array = np.asarray(values)
-    if array.dtype.kind != "i":
-        for value in array.ravel().tolist():
-            if not (type(value) in (int, float) and -2**63 <= value < 2**63
-                    and float(value).is_integer()):
-                raise ValueError(f"{name} must hold integers within int64, got {value!r}")
-    return array.astype(np.int64)
-
-
 def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
                             lengthscale: float):
     """Rebuild an emission backend (and bank) from a snapshot dict.
 
-    An exact-gp class is split back into its segments wherever a run of
-    positions restarts at 1.  Raises ``ValueError`` for a backend not in
-    ``BACKENDS``, when the snapshot was trained on a different number of
-    dimensions than ``n_dims``, when ``beta``, ``psi`` or ``lengthscale``
-    is not finite and positive, when an rff class's counts are not
-    ``hsmm.kmax`` non-negative integers or its sums not ``(kmax, n_dims)``
-    finite numbers, or when an exact-gp class's positions are not such
-    runs.
+    An exact-gp class is added as one sequence, its stored values, whose
+    segments start wherever a run of positions restarts at 1.  Raises
+    ``ValueError`` for a backend not in ``BACKENDS``, when the snapshot was
+    trained on a different number of dimensions than ``n_dims``, when
+    ``beta``, ``psi`` or ``lengthscale`` is not finite and positive, when
+    an rff class's counts are not ``hsmm.kmax`` non-negative integers or
+    its sums not ``(kmax, n_dims)`` finite numbers, or when an exact-gp
+    class's values are not one row of ``n_dims`` finite numbers per
+    position or its positions are not such runs.
     """
     if snap["backend"] not in BACKENDS:
         raise ValueError(
             f"snapshot backend {snap['backend']!r} is not one of {BACKENDS}")
-    if int(integer_array("n_dims", snap["n_dims"])) != n_dims:
+    if int(integer_array("n_dims", snap["n_dims"], ())) != n_dims:
         raise ValueError(
             f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")
     for name, value in (("beta", beta), ("psi", psi), ("lengthscale", lengthscale)):
         check_positive_finite(name, value)
     bank = FeatureBank.from_dict(snap["bank"])
     if snap["backend"] == "rff":
-        kmax = int(integer_array("hsmm.kmax", snap["hsmm"]["kmax"]))
+        kmax = int(integer_array("hsmm.kmax", snap["hsmm"]["kmax"], ()))
         classes = snap["classes"]
         counts = [integer_array(f"class {c} counts", e["counts"]) for c, e in enumerate(classes)]
         sums = [np.asarray(e["sums"], dtype=np.float64) for e in classes]
@@ -651,14 +624,24 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
         emissions.counts[...] = np.reshape(counts, emissions.counts.shape)
         emissions.sums[...] = np.reshape(sums, emissions.sums.shape)
     else:
-        emissions = ExactGpEmissions(len(snap["classes"]), n_dims, beta, lengthscale)
-        for c, entry in enumerate(snap["classes"]):
-            taus = np.asarray(entry["taus"], dtype=np.float64)
+        classes = snap["classes"]
+        emissions = ExactGpEmissions(len(classes), n_dims, beta, lengthscale)
+        stored = [np.asarray(e["taus"], dtype=np.float64) for e in classes]
+        for c, (entry, taus) in enumerate(zip(classes, stored)):
             values = np.asarray(entry["values"], dtype=np.float64)
-            for i, block in enumerate(np.split(values, np.flatnonzero(taus == 1.0))[1:]):
-                emissions.add(c, i, block.T)
-            emissions.refresh()
-            if not np.array_equal(emissions.class_models[c].taus, taus):
+            if values.size == 0:  # an unused class stores its values as []
+                values = values.reshape(0, n_dims)
+            if values.shape != (taus.size, n_dims):
+                raise ValueError(f"snapshot class {c}: values must have shape "
+                                 f"({taus.size}, {n_dims}), got {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"snapshot class {c}: values must be finite")
+            starts = np.flatnonzero(taus == 1.0).tolist()
+            emissions.add(c, values.T, [Segment(a, b, c) for a, b in
+                                        zip(starts, starts[1:] + [taus.size])])
+        emissions.refresh()
+        for c, (data, taus) in enumerate(zip(emissions.class_models, stored)):
+            if not np.array_equal(data.taus, taus):
                 raise ValueError(
                     f"snapshot class {c}: taus are not runs of positions 1..length")
     return bank, emissions
@@ -667,7 +650,7 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
 def hsmm_from_snapshot(snap: dict) -> HsmmParams:
     """The chain's counts and settings from a snapshot dict (see :func:`integer_array`)."""
     h = snap["hsmm"]
-    n_classes, kmin, kmax = (int(integer_array(f"hsmm.{name}", h[name]))
+    n_classes, kmin, kmax = (int(integer_array(f"hsmm.{name}", h[name], ()))
                              for name in ("n_classes", "kmin", "kmax"))
     counts = {name: integer_array(f"hsmm.{name}", h[name])
               for name in ("transition_counts", "class_counts")}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from rffseg.hsmm import ForwardLattice, InfeasibleSequenceError, tileable
+from rffseg.hsmm import ForwardLattice, InfeasibleSequenceError, Segment, tileable
 
 
 class TableEmitter:
@@ -18,6 +18,12 @@ class TableEmitter:
     def log_emission_table(self, seq, kmax):
         self.calls += 1
         return self.table[:kmax, : seq.shape[1]]
+
+
+def add_frames(emissions, key, label, frames):
+    """Add ``frames`` ``(n_dims, k)`` to an emission backend's class ``label``,
+    as a sequence of one segment stored under ``key``."""
+    emissions.add(key, frames, [Segment(0, frames.shape[1], label)])
 
 
 def direct_log_table(means, variances, seq):

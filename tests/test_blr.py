@@ -12,7 +12,7 @@ from rffseg.exact_gp import GpClassData
 from rffseg.features import sample_feature_bank
 from rffseg.trainer import RffEmissions, emissions_from_snapshot
 
-from helpers import direct_log_table, gaussian_logpdf
+from helpers import add_frames, direct_log_table, gaussian_logpdf
 
 BETA = 10.0
 PSI = 1.0
@@ -341,7 +341,7 @@ def test_one_factorization_per_dirty_class(monkeypatch):
     emissions.log_emission_tables(rng.normal(size=(8, 30)), 20)
     assert len(calls) == 5
     for c in (1, 3):
-        emissions.add(c, c, rng.normal(size=(8, 15)))
+        add_frames(emissions, c, c, rng.normal(size=(8, 15)))
     calls.clear()
     emissions.refresh()
     emissions.log_emission_tables(rng.normal(size=(8, 30)), 20)
@@ -404,6 +404,6 @@ def test_statistics_restored_from_a_snapshot_grid():
 
     assert_same_tables()
     seg = rng.normal(size=(3, 9))
-    emissions.add(0, None, seg)
+    add_frames(emissions, None, 0, seg)
     model.add_segment(bank, seg)
     assert_same_tables()

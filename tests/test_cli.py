@@ -370,6 +370,23 @@ class TestSegment:
          "lengthscale must be finite, got nan"),
         (lambda s: s["config"].update(lengthscale=float("inf")),
          "lengthscale must be finite, got inf"),
+        (lambda s: s["model"]["hsmm"].update(n_classes=[3]),
+         "hsmm.n_classes must have shape (), got (1,)"),
+        (lambda s: s["model"]["hsmm"].update(kmax=[30, 31]),
+         "hsmm.kmax must have shape (), got (2,)"),
+        (lambda s: s["model"]["bank"].update(n_features=20.5),
+         "bank.n_features must hold integers within int64, got 20.5"),
+        (lambda s: s["model"]["bank"].update(seed=3.7),
+         "bank.seed must hold integers within uint64, got 3.7"),
+        (lambda s: s.update(model=[]), "snapshot model must be a JSON object, got list"),
+        (lambda s: s["preprocess"]["maxs"].pop(),
+         "normalization record covers 1 dimensions, data has 2: maxs has shape (1,)"),
+        (lambda s: s["preprocess"]["maxs"].__setitem__(0, float("inf")),
+         "normalization record's maxs must be finite"),
+        (lambda s: s["preprocess"].update(downsample=1.5),
+         "preprocess.downsample must hold integers within int64, got 1.5"),
+        (lambda s: s["preprocess"].update(normalized="no"),
+         "preprocess.normalized must be true or false, got 'no'"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums",
             "grid-count-negative", "grid-count-fraction", "grid-counts-short",
             "grid-sum-nan", "transitions-1e30", "kmin-fraction", "class-count-fraction",
@@ -378,7 +395,9 @@ class TestSegment:
             "class-counts-short", "kmin-0", "alpha-0", "no-classes", "mean-length-0",
             "mean-length-nan", "mean-length-inf", "alpha-nan", "alpha-inf",
             "beta-nan", "beta-inf", "psi-nan", "psi-inf", "lengthscale-nan",
-            "lengthscale-inf"])
+            "lengthscale-inf", "n-classes-list", "kmax-list", "n-features-fraction",
+            "seed-fraction", "model-list", "maxs-short", "maxs-inf", "downsample-fraction",
+            "normalized-string"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff

@@ -32,7 +32,7 @@ from rffseg.trainer import (
     train_with_restarts,
 )
 
-from helpers import TableEmitter, direct_log_table, reference_random_spans
+from helpers import TableEmitter, add_frames, direct_log_table, reference_random_spans
 
 
 def small_store(seed=3, n_sequences=4, seq_length=120, sigma=0.05):
@@ -178,11 +178,10 @@ def fresh_rff(state):
 
 
 def replayed_rff(state, assignments):
-    """A fresh ``RffEmissions`` fed each segment through ``add``, as a sweep feeds it."""
+    """A fresh ``RffEmissions`` fed each sequence through ``add``, as a sweep feeds it."""
     emissions = fresh_rff(state)
     for seq_idx, (seq, segs) in enumerate(zip(state.sequences, assignments)):
-        for seg in segs:
-            emissions.add(seg.label, (seq_idx, seg.start, seg.stop), seq[:, seg.start:seg.stop])
+        emissions.add(seq_idx, seq, segs)
     return emissions
 
 
@@ -201,7 +200,7 @@ def emptied_class_corpus():
 
 
 class TestRebuild:
-    """``rebuild`` against the per-segment updates that sweeps make."""
+    """``rebuild`` against the per-sequence updates that sweeps make."""
 
     def test_rff_rebuild_equals_a_per_segment_replay(self):
         state, assignments = emptied_class_corpus()
@@ -239,18 +238,18 @@ class TestRebuild:
         assignments = [[Segment(int(a), int(b), int(rng.integers(n_classes)))
                         for a, b in zip(np.cumsum(n) - n, np.cumsum(n))] for n in lengths]
         for seq, segs in zip(sequences, assignments):
+            emissions.add(None, seq, segs)
             for seg in segs:
-                emissions.add(seg.label, None, seq[:, seg.start:seg.stop])
                 oracles[seg.label].add_segment(bank, seq[:, seg.start:seg.stop])
         # empty class 3, and move every third segment to another class
         for seq, segs in zip(sequences, assignments):
             for i, seg in enumerate(segs):
                 if seg.label == 3 or i % 3 == 0:
                     frames = seq[:, seg.start:seg.stop]
-                    emissions.remove(seg.label, None, frames)
+                    emissions.remove(None, seq, [seg])
                     oracles[seg.label].remove_segment(bank, frames)
                     segs[i] = Segment(seg.start, seg.stop, (seg.label + 1) % 3)
-                    emissions.add(segs[i].label, None, frames)
+                    emissions.add(None, seq, [segs[i]])
                     oracles[segs[i].label].add_segment(bank, frames)
         assert not emissions.counts[3].any()
         emissions.refresh()
@@ -265,7 +264,7 @@ class TestRebuild:
         np.testing.assert_array_equal(rebuilt.counts, emissions.counts)
         counts = emissions.counts.copy()
         with pytest.raises(ValueError, match="class 3: .*bookkeeping"):
-            emissions.remove(3, None, sequences[0][:, :8])
+            emissions.remove(None, sequences[0], [Segment(0, 8, 3)])
         np.testing.assert_array_equal(emissions.counts, counts)
 
     def test_exact_gp_rebuild_equals_keyed_adds(self):
@@ -273,17 +272,58 @@ class TestRebuild:
         state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
         want = ExactGpEmissions(3, 2, beta=10.0, lengthscale=1.0)
         for seq_idx, (seq, segs) in enumerate(zip(state.sequences, state.assignments)):
-            for seg in segs:
-                want.add(seg.label, (seq_idx, seg.start, seg.stop), seq[:, seg.start:seg.stop])
-        for have, ref in zip(state.emissions.blocks, want.blocks):
-            assert list(have) == list(ref)
-            for key in have:
-                np.testing.assert_array_equal(have[key], ref[key])
+            want.add(seq_idx, seq, segs)
+        assert list(state.emissions.assigned) == list(want.assigned) == [0, 1, 2]
+        for key, (frames, segs) in state.emissions.assigned.items():
+            assert frames is want.assigned[key][0] and segs == want.assigned[key][1]
         seq = state.sequences[0]
         for emissions in (state.emissions, want):
             emissions.refresh()
         np.testing.assert_array_equal(state.emissions.log_emission_tables(seq, 24),
                                       want.log_emission_tables(seq, 24))
+
+
+def pooled(sequences, assignments, order, label, n_dims):
+    """Class ``label``'s positions and frames over the sequences ``order``,
+    in that order, then segment order."""
+    segs = [(sequences[i], seg) for i in order for seg in assignments[i] if seg.label == label]
+    taus = [np.arange(1, seg.stop - seg.start + 1, dtype=np.float64) for _, seg in segs]
+    values = [seq[:, seg.start:seg.stop].T for seq, seg in segs]
+    return np.concatenate([np.zeros(0)] + taus), np.vstack([np.zeros((0, n_dims))] + values)
+
+
+class TestExactGpUpdates:
+    """``ExactGpEmissions`` stores whole sequences and pools them in the order added."""
+
+    def test_a_readded_sequence_is_pooled_last(self):
+        store = small_store(n_sequences=4, seq_length=60)
+        state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
+        emissions, seq, segs = state.emissions, state.sequences[0], state.assignments[0]
+        emissions.remove(0, seq, segs)
+        emissions.add(0, seq, segs)
+        emissions.refresh()
+        reordered = 0
+        for c, data in enumerate(emissions.class_models):
+            taus, values = pooled(state.sequences, state.assignments, [1, 2, 3, 0], c, 2)
+            np.testing.assert_array_equal(data.taus, taus)
+            np.testing.assert_array_equal(data.values, values)
+            _, by_index = pooled(state.sequences, state.assignments, [0, 1, 2, 3], c, 2)
+            reordered += not np.array_equal(values, by_index)
+        assert reordered  # the order is pinned, not just the set of points
+
+    def test_unknown_or_changed_sequences_are_refused(self):
+        store = small_store(n_sequences=3, seq_length=60)
+        state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
+        emissions, seq, segs = state.emissions, state.sequences[0], state.assignments[0]
+        with pytest.raises(ValueError, match="sequence 0 is already assigned"):
+            emissions.add(0, seq, segs)
+        with pytest.raises(ValueError, match="sequence 0: removing segments it is not "
+                                             "assigned .*bookkeeping"):
+            emissions.remove(0, seq, segs[1:])
+        with pytest.raises(ValueError, match="sequence 7: removing segments"):
+            emissions.remove(7, seq, segs)
+        assert list(emissions.assigned) == [0, 1, 2]
+        assert emissions.assigned[0] == (seq, segs)
 
 
 class TestSweep:
@@ -307,13 +347,9 @@ class TestSweep:
         trans = state.hsmm.transition_counts.copy()
         seq_idx, seq = 1, state.sequences[1]
         segs = state.assignments[seq_idx]
-        for seg in segs:
-            state.emissions.remove(seg.label, (seq_idx, seg.start, seg.stop),
-                                   seq[:, seg.start:seg.stop])
+        state.emissions.remove(seq_idx, seq, segs)
         state.hsmm.release_labels([s.label for s in segs])
-        for seg in segs:
-            state.emissions.add(seg.label, (seq_idx, seg.start, seg.stop),
-                                seq[:, seg.start:seg.stop])
+        state.emissions.add(seq_idx, seq, segs)
         state.hsmm.absorb_labels([s.label for s in segs])
         flat = [
             (st.precision, st.proj)
@@ -341,15 +377,14 @@ def count_an_extra_point(state):
     state.emissions.counts[0, 0] += 1
 
 
-def drop_a_block(state):
-    blocks = state.emissions.blocks[0]
-    del blocks[next(iter(blocks))]
+def drop_a_segment(state):
+    frames, segs = state.emissions.assigned[1]
+    state.emissions.assigned[1] = (frames, segs[1:])  # a new list: segs is the assignment
 
 
-def shift_a_payload(state):
-    blocks = state.emissions.blocks[0]
-    key = next(iter(blocks))
-    blocks[key] = blocks[key] + 1.0  # a new array: the block is a view of the sequence
+def shift_the_frames(state):
+    frames, segs = state.emissions.assigned[1]
+    state.emissions.assigned[1] = (frames + 1.0, segs)  # a new array: frames is the sequence
 
 
 def count_an_extra_transition(state):
@@ -364,8 +399,8 @@ class TestAudit:
     @pytest.mark.parametrize("backend, damage, message", [
         ("rff", nudge_a_sum, "drifted 1.000e-03 from batch rebuild"),
         ("rff", count_an_extra_point, "class 0: counts"),
-        ("exact-gp", drop_a_block, "class 0: tracked segment keys diverge"),
-        ("exact-gp", shift_a_payload, "class 0: segment .* payload diverges"),
+        ("exact-gp", drop_a_segment, "sequence 1: tracked segments diverge from assignments"),
+        ("exact-gp", shift_the_frames, "sequence 1: tracked frames diverge from the sequence"),
         ("rff", count_an_extra_transition, "transition counts diverge"),
         ("rff", count_an_extra_segment, "class counts diverge"),
     ], ids=["drift", "n-points", "keys", "payload", "transitions", "class-counts"])
@@ -494,7 +529,7 @@ class TestEmissionTables:
             emissions = ExactGpEmissions(3, 3, beta=10.0, lengthscale=1.0)
         for c in range(3):
             for i in range(4):
-                emissions.add(c, (c, i), offset + 0.1 * rng.normal(size=(3, 20)))
+                add_frames(emissions, (c, i), c, offset + 0.1 * rng.normal(size=(3, 20)))
         emissions.refresh()
         seq = offset + 0.1 * rng.normal(size=(3, 50))
         taus = np.arange(1, 26, dtype=np.float64)
@@ -535,7 +570,7 @@ def filled_rff(n_classes=5, n_dims=3, seed=4):
                              beta=10.0, psi=1.0)
     for c in range(n_classes):
         for i in range(3):
-            emissions.add(c, (c, i), rng.normal(size=(n_dims, int(rng.integers(8, 25)))))
+            add_frames(emissions, (c, i), c, rng.normal(size=(n_dims, int(rng.integers(8, 25)))))
     return emissions, rng
 
 
@@ -556,7 +591,7 @@ class TestRffPosterior:
 
         monkeypatch.setattr(rffseg.trainer, "posterior_predictive", recording)
         for c in (3, 1):
-            emissions.add(c, (c, 9), rng.normal(size=(3, 12)))
+            add_frames(emissions, (c, 9), c, rng.normal(size=(3, 12)))
         emissions.refresh()
         emissions.refresh()
         emissions.log_emission_tables(seq, 24)
@@ -576,7 +611,7 @@ class TestRffPosterior:
         emissions, rng = filled_rff()
         seq = rng.normal(size=(3, 40))
         emissions.log_emission_tables(seq, 24)
-        emissions.add(2, (2, 9), rng.normal(size=(3, 12)))
+        add_frames(emissions, (2, 9), 2, rng.normal(size=(3, 12)))
         emissions.log_emission_tables(seq, 9)  # a prefix: no new positions
         assert emissions.means.shape == (5, 24, 3)
         taus = np.arange(1, 25, dtype=np.float64)
@@ -636,15 +671,45 @@ class TestSnapshot:
         assert_same_tables()
         # the rebuilt statistics keep absorbing segments like the originals
         for emitted in (emissions, state.emissions):
-            emitted.add(0, None, seq[:, :config.kmin])
+            emitted.add("extra", seq, [Segment(0, config.kmin, 0)])
             emitted.refresh()
         assert_same_tables()
+
+    def test_exact_gp_round_trip_keeps_an_empty_class(self):
+        store = small_store()
+        config = small_config(backend="exact-gp")
+        state = initialize(store.sequences, config)
+        state.assignments = [[Segment(s.start, s.stop, 1 if s.label == 0 else s.label)
+                              for s in segs] for segs in state.assignments]
+        state.emissions.rebuild(state.sequences, state.assignments)
+        snap = json.loads(json.dumps(snapshot_dict(state)))
+        assert snap["classes"][0]["taus"] == [] and snap["classes"][0]["values"] == []
+        bank, emissions = emissions_from_snapshot(
+            snap, 2, config.beta, config.psi, config.lengthscale)
+        assert emissions.class_models[0].n_points == 0
+        seq = store.sequences[0]
+        np.testing.assert_array_equal(emissions.log_emission_tables(seq, config.kmax),
+                                      state.emissions.log_emission_tables(seq, config.kmax))
 
     def test_positions_not_in_runs_from_1_are_refused(self):
         state = initialize(small_store().sequences, small_config(backend="exact-gp"))
         snap = snapshot_dict(state)
         snap["classes"][0]["taus"][0] = 2.0
         with pytest.raises(ValueError, match="class 0: taus are not runs"):
+            emissions_from_snapshot(snap, 2, 10.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda entry: entry.update(values=np.ravel(entry["values"]).tolist()),
+         r"class 0: values must have shape \(\d+, 2\), got \(\d+,\)"),
+        (lambda entry: entry["values"].pop(), r"class 0: values must have shape"),
+        (lambda entry: entry["values"][0].__setitem__(1, float("inf")),
+         "class 0: values must be finite"),
+    ], ids=["flat", "one-row-short", "inf"])
+    def test_malformed_values_are_refused(self, damage, message):
+        state = initialize(small_store().sequences, small_config(backend="exact-gp"))
+        snap = snapshot_dict(state)
+        damage(snap["classes"][0])
+        with pytest.raises(ValueError, match=message):
             emissions_from_snapshot(snap, 2, 10.0, 1.0, 1.0)
 
     def test_dimension_count_mismatch_names_both(self):

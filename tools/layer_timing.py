@@ -21,9 +21,12 @@ Run it with one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the
 benchmark does.
 
 Next come the rff statistics and posterior.  Both sides' ``RffEmissions``
-(M=20 features) absorb the same segments; each call removes and re-adds
-one segment of each of the ``DIRTY`` classes, then runs ``refresh()``
-and ``log_emission_tables`` at kmax=30.  This layer's arithmetic may
+(M=20 features) absorb the same segments; each call removes one visit's
+sequence, a segment of each of the ``DIRTY`` classes, adds it back, then
+runs ``refresh()`` and ``log_emission_tables`` at kmax=30.  Each side is
+fed through its own ``add``/``remove`` signature: a whole sequence's
+segments per call, or (on an older checkout) one segment per call, from
+the same loop a sweep ran there.  This layer's arithmetic may
 change, so the two sides' tables are compared against ``REL_BOUND``,
 relative to each entry's magnitude (or to 1 below it), and a gap beyond
 it sets the exit status to 1.  It is timed in the same interleaved
@@ -192,31 +195,54 @@ def time_layers(parent, change) -> None:
         compare_times(name, lambda side: per_call_us(sides[side][name]), ROUNDS, "us")
 
 
+def updater(backend):
+    """``update(method, key, seq, segments)``: ``backend``'s ``add`` or ``remove``
+    as ``method``, applied to the ``segments`` of ``seq`` in one call where it
+    takes a sequence, or one call per segment where it takes a segment."""
+    if "segments" in inspect.signature(backend.add).parameters:
+        return lambda method, key, seq, segments: method(key, seq, segments)
+
+    def per_segment(method, key, seq, segments):
+        for seg in segments:
+            method(seg.label, (key, seg.start, seg.stop), seq[:, seg.start:seg.stop])
+    return per_segment
+
+
+def as_sequence(segment_type, pieces):
+    """The ``(label, frames)`` ``pieces`` end to end, and their segments."""
+    ends = np.cumsum([frames.shape[1] for _, frames in pieces]).tolist()
+    segments = [segment_type(end - frames.shape[1], end, label)
+                for (label, frames), end in zip(pieces, ends)]
+    return np.hstack([frames for _, frames in pieces]), segments
+
+
 def rff_emissions(package):
-    """An ``RffEmissions`` holding 40 random segments per class, each class's
-    last segment, and a sequence."""
+    """An ``RffEmissions`` holding 40 random segments per class, its ``updater``,
+    one visit's sequence and segments (the last segment of each ``DIRTY``
+    class), and a sequence to score."""
     rng = np.random.default_rng(11)
     bank = package.features.sample_feature_bank(M, 1.0, seed=5)
     backend = package.trainer.RffEmissions
     # a backend on the position grid is sized by its number of positions
     grid = {"kmax": KMAX} if "kmax" in inspect.signature(backend).parameters else {}
     emissions = backend(bank, C, D, beta=10.0, psi=1.0, **grid)
+    update = updater(backend)
     last = []
     for c in range(C):
-        for i in range(40):
-            segment = rng.normal(size=(D, int(rng.integers(KMIN, KMAX + 1))))
-            emissions.add(c, (c, i), segment)
-        last.append(segment)
-    return emissions, last, rng.normal(size=(D, T))
+        pieces = [(c, rng.normal(size=(D, int(rng.integers(KMIN, KMAX + 1)))))
+                  for _ in range(40)]
+        update(emissions.add, c, *as_sequence(package.hsmm.Segment, pieces))
+        last.append(pieces[-1])
+    visit = as_sequence(package.hsmm.Segment, [last[c] for c in DIRTY])
+    return emissions, update, visit, rng.normal(size=(D, T))
 
 
-def posterior_call(emissions, last, seq):
-    """Remove and re-add a segment of each ``DIRTY`` class, refresh, and build
-    the tables: one visit's statistics and posterior."""
+def posterior_call(emissions, update, visit, seq):
+    """Remove and re-add the visit's segments, refresh, and build the tables:
+    one visit's statistics and posterior."""
     def call():
-        for c in DIRTY:
-            emissions.remove(c, (c, 39), last[c])
-            emissions.add(c, (c, 39), last[c])
+        update(emissions.remove, "visit", *visit)
+        update(emissions.add, "visit", *visit)
         emissions.refresh()
         return emissions.log_emission_tables(seq, KMAX)
     return call
