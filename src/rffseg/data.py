@@ -93,16 +93,21 @@ class PreprocessRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessRecord":
         """The record ``to_dict`` wrote; ``ValueError`` for a ``downsample``
-        that is not one integer or a ``normalized`` that is not a boolean."""
+        that is not one integer, a ``normalized`` that is not a boolean, or
+        ``mins`` or ``maxs`` that are not a list of numbers."""
         if not isinstance(d["normalized"], bool):
             raise ValueError(
                 f"preprocess.normalized must be true or false, got {d['normalized']!r}")
+        bounds = {}
+        for name in ("mins", "maxs"):
+            values = d.get(name)
+            if values is not None and not (isinstance(values, list) and all(
+                    type(v) in (int, float) for v in values)):
+                raise ValueError(f"preprocess.{name} must be a list of numbers, got {values!r}")
+            bounds[name] = None if values is None else np.asarray(values, dtype=np.float64)
         return cls(
             downsample=int(integer_array("preprocess.downsample", d["downsample"], ())),
-            normalized=d["normalized"],
-            mins=None if d.get("mins") is None else np.asarray(d["mins"], dtype=np.float64),
-            maxs=None if d.get("maxs") is None else np.asarray(d["maxs"], dtype=np.float64),
-        )
+            normalized=d["normalized"], **bounds)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hsmm import integer_array
+from .hsmm import check_positive_finite, integer_array
 
 __all__ = ["FeatureBank", "sample_feature_bank"]
 
@@ -37,12 +37,15 @@ class FeatureBank:
     def __post_init__(self):
         if self.n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {self.n_features}")
-        if self.lengthscale <= 0:
-            raise ValueError(f"lengthscale must be > 0, got {self.lengthscale}")
-        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=np.float64))
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=np.float64))
-        if self.omegas.shape != (self.n_features,) or self.phases.shape != (self.n_features,):
-            raise ValueError("omegas and phases must both have shape (n_features,)")
+        object.__setattr__(self, "lengthscale",
+                           check_positive_finite("bank.lengthscale", self.lengthscale))
+        for name in ("omegas", "phases"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.shape != (self.n_features,):
+                raise ValueError("omegas and phases must both have shape (n_features,)")
+            if not np.isfinite(values).all():
+                raise ValueError(f"bank.{name} must be finite")
+            object.__setattr__(self, name, values)
 
     def phi(self, t) -> np.ndarray:
         """Feature vector ``sqrt(2/M) * cos(omega * t + phase)``.
@@ -82,10 +85,12 @@ class FeatureBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureBank":
-        """The bank ``to_dict`` wrote; see :func:`~rffseg.hsmm.integer_array`."""
+        """The bank ``to_dict`` wrote; ``ValueError`` names a field that is not an
+        integer (:func:`~rffseg.hsmm.integer_array`), a lengthscale that is not a
+        finite positive number, or omegas and phases that are not finite."""
         return cls(
             n_features=int(integer_array("bank.n_features", d["n_features"], ())),
-            lengthscale=float(d["lengthscale"]),
+            lengthscale=d["lengthscale"],
             seed=int(integer_array("bank.seed", d["seed"], (), np.uint64)),
             omegas=np.asarray(d["omegas"], dtype=np.float64),
             phases=np.asarray(d["phases"], dtype=np.float64),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -66,12 +67,17 @@ class Segment:
         return self.stop - self.start
 
 
-def check_positive_finite(name: str, value: float, error=ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is finite and > 0."""
+def check_positive_finite(name: str, value: float, error=ValueError) -> float:
+    """``value`` as a float; ``error`` naming ``name`` unless it is a finite number > 0
+    (an int or a float: not a boolean, a string or a list)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    value = float(value)
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
     if value <= 0:
         raise error(f"{name} must be > 0, got {value}")
+    return value
 
 
 def integer_array(name: str, values, shape=None, dtype=np.int64) -> np.ndarray:

@@ -6,10 +6,11 @@ against all other sequences' assignments, and absorbs the new segments
 back.  Emission models are pluggable: the random-feature regression
 backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
 
-Each visit's ``posterior`` phase is the backend's ``refresh``.  For
-"rff" that is one factorization and one triangular solve of each class
-whose counts and sums the visit changed, into predictives at positions
-``1..kmax``; the ``emission`` phase reads every table from those.
+Each visit's ``posterior`` phase is the backend's ``refresh``: each
+class the visit changed is solved into its predictive at positions
+``1..kmax``, for "rff" by one factorization and one triangular solve,
+for "exact-gp" by a Gram rebuild.  The ``emission`` phase reads every
+table from those predictives.
 """
 
 from __future__ import annotations
@@ -128,29 +129,59 @@ class _Phase:
         return False
 
 
-class RffEmissions:
+class PositionPredictives:
+    """Every class's Gaussian predictive at within-segment positions ``1..kmax``.
+
+    A backend marks a class ``dirty`` when its statistics change;
+    :meth:`refresh` has the backend's ``_solve`` write just those classes
+    into the ``(C, kmax, D)`` means and ``(C, kmax)`` variances, and each
+    table refreshes first, then reads a prefix of them.
+    """
+
+    def __init__(self, n_classes: int, n_dims: int, kmax: int):
+        self.dirty = np.ones(n_classes, dtype=bool)
+        self.means = np.empty((n_classes, kmax, n_dims))
+        self.variances = np.empty((n_classes, kmax))
+
+    def refresh(self) -> None:
+        """Solve each dirty class's predictive once."""
+        dirty = np.flatnonzero(self.dirty)
+        if dirty.size:
+            self._solve(dirty)
+            self.dirty[dirty] = False
+
+    def emitters(self):
+        """The ``emitters`` argument of ``forward_filter``: this object."""
+        return self
+
+    def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
+        """``(C, kmax, T)`` frame log densities of every class."""
+        if kmax > self.means.shape[1]:
+            raise ValueError(
+                f"tables of {kmax} positions asked of a model of {self.means.shape[1]}")
+        self.refresh()
+        return gaussian_log_table(self.means[:, :kmax], self.variances[:, :kmax], seq)
+
+
+class RffEmissions(PositionPredictives):
     """Random-feature regression models of every class, on the position grid.
 
     A class's regression depends only on its ``counts`` ``(C, kmax)`` and
     ``sums`` ``(C, kmax, D)`` of frames at each within-segment position,
     which :meth:`add` and :meth:`remove` update a sequence at a time and
-    :meth:`rebuild` sets at once.  :meth:`refresh` solves the ``dirty``
-    classes' predictive at positions ``1..kmax`` into ``(C, kmax, D)``
-    means and ``(C, kmax)`` variances, of which each table reads a prefix.
+    :meth:`rebuild` sets at once.
     """
 
     backend_name = "rff"
 
     def __init__(self, bank: FeatureBank, n_classes: int, n_dims: int, kmax: int,
                  beta: float, psi: float):
+        super().__init__(n_classes, n_dims, kmax)
         self.bank = bank
         self.beta = beta
         self.psi = psi
         self.counts = np.zeros((n_classes, kmax), dtype=np.int64)
         self.sums = np.zeros((n_classes, kmax, n_dims))
-        self.dirty = np.ones(n_classes, dtype=bool)
-        self.means = np.empty((n_classes, kmax, n_dims))
-        self.variances = np.empty((n_classes, kmax))
 
     def add(self, key, seq: np.ndarray, segments) -> None:
         for seg in segments:  # key is unused: the grid keeps no sequence apart
@@ -171,17 +202,13 @@ class RffEmissions:
             self.sums[seg.label, :k] -= seq[:, seg.start:seg.stop].T
             self.dirty[seg.label] = True
 
-    def refresh(self) -> None:
-        """Build each dirty class's statistics from its grid, then solve them once."""
-        dirty = np.flatnonzero(self.dirty)
-        if dirty.size == 0:
-            return
+    def _solve(self, classes: np.ndarray) -> None:
+        """Build the ``classes``' statistics from their grid and solve them together."""
         phi = self.bank.position_features(self.counts.shape[1])
-        precision, proj = grid_statistics(self.counts[dirty], self.sums[dirty], phi,
+        precision, proj = grid_statistics(self.counts[classes], self.sums[classes], phi,
                                           self.beta, self.psi)
-        self.means[dirty], self.variances[dirty] = posterior_predictive(
+        self.means[classes], self.variances[classes] = posterior_predictive(
             precision, proj, phi, self.beta)
-        self.dirty[dirty] = False
 
     @property
     def class_models(self) -> list[ClassModel]:
@@ -198,18 +225,6 @@ class RffEmissions:
                 st.proj[...] = row
                 st.n_points = n_points
         return models
-
-    def emitters(self):
-        """The ``emitters`` argument of ``forward_filter``: this object."""
-        return self
-
-    def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
-        """``(C, kmax, T)`` frame log densities of every class."""
-        if kmax > self.counts.shape[1]:
-            raise ValueError(
-                f"tables of {kmax} positions asked of a model of {self.counts.shape[1]}")
-        self.refresh()
-        return gaussian_log_table(self.means[:, :kmax], self.variances[:, :kmax], seq)
 
     def rebuild(self, sequences, assignments) -> None:
         """Set every class's counts and sums from ``assignments`` in whole-array passes.
@@ -259,24 +274,24 @@ class RffEmissions:
         return float(np.max(np.abs(self.sums - fresh.sums), initial=0.0))
 
 
-class ExactGpEmissions:
+class ExactGpEmissions(PositionPredictives):
     """Pooled-point Gaussian-process models, one per class.
 
     ``assigned`` maps each sequence's key to its frames and segments, held
-    by reference in the order added.  :meth:`refresh` pools each changed
-    class's segments in that order and rebuilds its Gram in full.
+    by reference in the order added.  A refresh pools each changed class's
+    segments in that order and rebuilds its Gram in full.
     """
 
     backend_name = "exact-gp"
 
-    def __init__(self, n_classes: int, n_dims: int, beta: float,
+    def __init__(self, n_classes: int, n_dims: int, kmax: int, beta: float,
                  lengthscale: float):
+        super().__init__(n_classes, n_dims, kmax)
         self.class_models = [
             GpClassData(n_dims, beta=beta, lengthscale=lengthscale)
             for _ in range(n_classes)
         ]
         self.assigned = {}
-        self.dirty = np.ones(n_classes, dtype=bool)
 
     def add(self, key, seq: np.ndarray, segments) -> None:
         if key in self.assigned:
@@ -291,31 +306,21 @@ class ExactGpEmissions:
         del self.assigned[key]
         self.dirty[[seg.label for seg in segments]] = True
 
-    def refresh(self) -> None:
-        """Pool every dirty class's segments in one pass and rebuild its Gram."""
-        n_dims = self.class_models[0].n_dims
-        pooled = {c: ([np.zeros(0)], [np.zeros((0, n_dims))])
-                  for c in np.flatnonzero(self.dirty).tolist()}
+    def _solve(self, classes: np.ndarray) -> None:
+        """Pool the ``classes``' segments in one pass, then give each its points and
+        predict it, Gram rebuilt, before the next class."""
+        _, kmax, n_dims = self.means.shape
+        pooled = {c: ([np.zeros(0)], [np.zeros((0, n_dims))]) for c in classes.tolist()}
         for seq, segments in self.assigned.values():
             for seg in segments:
                 if seg.label in pooled:
                     taus, values = pooled[seg.label]
                     taus.append(np.arange(1, seg.stop - seg.start + 1, dtype=np.float64))
                     values.append(seq[:, seg.start:seg.stop].T)
+        positions = np.arange(1, kmax + 1, dtype=np.float64)
         for c, (taus, values) in pooled.items():
             self.class_models[c].set_points(np.concatenate(taus), np.vstack(values))
-            self.class_models[c].refresh()
-        self.dirty[...] = False
-
-    def emitters(self):
-        """The ``emitters`` argument of ``forward_filter``: this object."""
-        return self
-
-    def log_emission_tables(self, seq: np.ndarray, kmax: int) -> np.ndarray:
-        """``(C, kmax, T)`` frame log densities of every class."""
-        taus = np.arange(1, kmax + 1, dtype=np.float64)
-        means, variances = zip(*(data._predict(taus) for data in self.class_models))
-        return gaussian_log_table(np.array(means), np.array(variances), seq)
+            self.means[c], self.variances[c] = self.class_models[c]._predict(positions)
 
     def rebuild(self, sequences, assignments) -> None:
         """Assign each sequence, keyed by its index, the segments ``assignments`` give it."""
@@ -453,7 +458,7 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
             emissions = RffEmissions(bank, config.n_classes, n_dims, config.kmax,
                                      config.beta, config.psi)
         else:
-            emissions = ExactGpEmissions(config.n_classes, n_dims,
+            emissions = ExactGpEmissions(config.n_classes, n_dims, config.kmax,
                                          config.beta, config.lengthscale)
 
         state = TrainerState(config=config, sequences=sequences, bank=bank,
@@ -605,9 +610,9 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     for name, value in (("beta", beta), ("psi", psi), ("lengthscale", lengthscale)):
         check_positive_finite(name, value)
     bank = FeatureBank.from_dict(snap["bank"])
+    kmax = int(integer_array("hsmm.kmax", snap["hsmm"]["kmax"], ()))
+    classes = snap["classes"]
     if snap["backend"] == "rff":
-        kmax = int(integer_array("hsmm.kmax", snap["hsmm"]["kmax"], ()))
-        classes = snap["classes"]
         counts = [integer_array(f"class {c} counts", e["counts"]) for c, e in enumerate(classes)]
         sums = [np.asarray(e["sums"], dtype=np.float64) for e in classes]
         for c, (n, x) in enumerate(zip(counts, sums)):
@@ -624,8 +629,7 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
         emissions.counts[...] = np.reshape(counts, emissions.counts.shape)
         emissions.sums[...] = np.reshape(sums, emissions.sums.shape)
     else:
-        classes = snap["classes"]
-        emissions = ExactGpEmissions(len(classes), n_dims, beta, lengthscale)
+        emissions = ExactGpEmissions(len(classes), n_dims, kmax, beta, lengthscale)
         stored = [np.asarray(e["taus"], dtype=np.float64) for e in classes]
         for c, (entry, taus) in enumerate(zip(classes, stored)):
             values = np.asarray(entry["values"], dtype=np.float64)
@@ -654,5 +658,6 @@ def hsmm_from_snapshot(snap: dict) -> HsmmParams:
                              for name in ("n_classes", "kmin", "kmax"))
     counts = {name: integer_array(f"hsmm.{name}", h[name])
               for name in ("transition_counts", "class_counts")}
-    return HsmmParams(n_classes=n_classes, kmin=kmin, kmax=kmax,
-                      mean_length=float(h["mean_length"]), alpha=float(h["alpha"]), **counts)
+    rates = {name: check_positive_finite(f"hsmm.{name}", h[name])
+             for name in ("mean_length", "alpha")}
+    return HsmmParams(n_classes=n_classes, kmin=kmin, kmax=kmax, **rates, **counts)

@@ -387,6 +387,21 @@ class TestSegment:
          "preprocess.downsample must hold integers within int64, got 1.5"),
         (lambda s: s["preprocess"].update(normalized="no"),
          "preprocess.normalized must be true or false, got 'no'"),
+        (lambda s: s["model"]["hsmm"].update(mean_length=[15]),
+         "hsmm.mean_length must be a number, got [15]"),
+        (lambda s: s["model"]["hsmm"].update(alpha="x"), "hsmm.alpha must be a number, got 'x'"),
+        (lambda s: s["config"].update(beta="10"), "beta must be a number, got '10'"),
+        (lambda s: s["config"].update(psi=None), "psi must be a number, got None"),
+        (lambda s: s["model"]["bank"].update(lengthscale=[1.0]),
+         "bank.lengthscale must be a number, got [1.0]"),
+        (lambda s: s["model"]["bank"].update(lengthscale=float("nan")),
+         "bank.lengthscale must be finite, got nan"),
+        (lambda s: s["model"]["bank"]["omegas"].__setitem__(0, float("nan")),
+         "bank.omegas must be finite"),
+        (lambda s: s["model"]["bank"]["phases"].__setitem__(0, float("inf")),
+         "bank.phases must be finite"),
+        (lambda s: s["preprocess"].update(mins={}),
+         "preprocess.mins must be a list of numbers, got {}"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums",
             "grid-count-negative", "grid-count-fraction", "grid-counts-short",
             "grid-sum-nan", "transitions-1e30", "kmin-fraction", "class-count-fraction",
@@ -397,7 +412,9 @@ class TestSegment:
             "beta-nan", "beta-inf", "psi-nan", "psi-inf", "lengthscale-nan",
             "lengthscale-inf", "n-classes-list", "kmax-list", "n-features-fraction",
             "seed-fraction", "model-list", "maxs-short", "maxs-inf", "downsample-fraction",
-            "normalized-string"])
+            "normalized-string", "mean-length-list", "alpha-string", "beta-string", "psi-null",
+            "bank-lengthscale-list", "bank-lengthscale-nan", "omega-nan", "phase-inf",
+            "mins-object"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import rffseg.exact_gp
 import rffseg.trainer
 from rffseg.blr import ClassModel, grid_statistics
 from rffseg.data import PatternSpec, SyntheticSpec, evaluate_nhd, generate_synthetic
+from rffseg.exact_gp import GpClassData
 from rffseg.features import sample_feature_bank
 from rffseg.hsmm import (
     InfeasibleSequenceError,
@@ -270,7 +272,7 @@ class TestRebuild:
     def test_exact_gp_rebuild_equals_keyed_adds(self):
         store = small_store(n_sequences=3, seq_length=60)
         state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
-        want = ExactGpEmissions(3, 2, beta=10.0, lengthscale=1.0)
+        want = ExactGpEmissions(3, 2, 24, beta=10.0, lengthscale=1.0)
         for seq_idx, (seq, segs) in enumerate(zip(state.sequences, state.assignments)):
             want.add(seq_idx, seq, segs)
         assert list(state.emissions.assigned) == list(want.assigned) == [0, 1, 2]
@@ -324,6 +326,43 @@ class TestExactGpUpdates:
             emissions.remove(7, seq, segs)
         assert list(emissions.assigned) == [0, 1, 2]
         assert emissions.assigned[0] == (seq, segs)
+
+    def test_refresh_predicts_exactly_the_dirty_classes_once(self, monkeypatch):
+        emissions, rng = filled("exact-gp")
+        seq = rng.normal(size=(3, 40))
+        emissions.log_emission_tables(seq, 24)
+        means, variances = emissions.means.copy(), emissions.variances.copy()
+        positions = np.arange(1, 25, dtype=np.float64)
+        predicted, grams = [], []
+        real_predict, real_factor = GpClassData._predict, rffseg.exact_gp.cho_factor
+
+        def predicting(data, taus):
+            np.testing.assert_array_equal(taus, positions)
+            predicted.append([c for c, d in enumerate(emissions.class_models) if d is data])
+            return real_predict(data, taus)
+
+        def factoring(gram, **kwargs):
+            grams.append(gram.shape[0])
+            return real_factor(gram, **kwargs)
+
+        monkeypatch.setattr(GpClassData, "_predict", predicting)
+        monkeypatch.setattr(rffseg.exact_gp, "cho_factor", factoring)
+        for c in (3, 1):
+            add_frames(emissions, (c, 9), c, rng.normal(size=(3, 12)))
+        emissions.refresh()
+        emissions.refresh()
+        emissions.log_emission_tables(seq, 24)
+        # classes 1 and 3 only, each once: one Gram rebuild and one prediction
+        assert predicted == [[1], [3]]
+        assert grams == [emissions.class_models[c].n_points for c in (1, 3)]
+        for c in (0, 2, 4):
+            np.testing.assert_array_equal(emissions.means[c], means[c])
+            np.testing.assert_array_equal(emissions.variances[c], variances[c])
+        for c in (1, 3):
+            want_means, want_variances = real_predict(emissions.class_models[c], positions)
+            np.testing.assert_array_equal(emissions.means[c], want_means)
+            np.testing.assert_array_equal(emissions.variances[c], want_variances)
+            assert not np.array_equal(emissions.means[c], means[c])
 
 
 class TestSweep:
@@ -526,7 +565,7 @@ class TestEmissionTables:
             emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=8), 3, 3, 25,
                                      beta=10.0, psi=1.0)
         else:
-            emissions = ExactGpEmissions(3, 3, beta=10.0, lengthscale=1.0)
+            emissions = ExactGpEmissions(3, 3, 25, beta=10.0, lengthscale=1.0)
         for c in range(3):
             for i in range(4):
                 add_frames(emissions, (c, i), c, offset + 0.1 * rng.normal(size=(3, 20)))
@@ -548,9 +587,30 @@ class TestEmissionTables:
                                        rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tables_after_train_need_no_refresh(self, backend):
+        # the last add of a sweep leaves classes dirty; a table call solves them
+        store = small_store()
+        emissions = train(store.sequences,
+                          small_config(backend=backend, n_classes=3)).state.emissions
+        seq = store.sequences[0]
+        first = emissions.log_emission_tables(seq, 24)
+        emissions.refresh()
+        np.testing.assert_array_equal(first, emissions.log_emission_tables(seq, 24))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_more_positions_than_kmax_are_refused(self, backend):
+        emissions, rng = filled(backend)
+        seq = rng.normal(size=(3, 40))
+        with pytest.raises(ValueError, match="25 positions asked of a model of 24"):
+            emissions.log_emission_tables(seq, 25)
+        np.testing.assert_array_equal(emissions.log_emission_tables(seq, 9),
+                                      emissions.log_emission_tables(seq, 24)[:, :9])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_forward_filter_on_backend_equals_table_emitters(self, backend):
         store = small_store()
         state = train(store.sequences, small_config(backend=backend, n_classes=3)).state
+        state.emissions.refresh()  # exact-gp's class models are current only after one
         for seq in store.sequences:
             kmax = min(state.hsmm.kmax, seq.shape[1])
             emitters = [TableEmitter(t)
@@ -563,11 +623,14 @@ class TestEmissionTables:
                 np.testing.assert_array_equal(got.log_norm, want.log_norm)
 
 
-def filled_rff(n_classes=5, n_dims=3, seed=4):
-    """An ``RffEmissions`` of 24 positions holding a few random segments in every class."""
+def filled(backend="rff", n_classes=5, n_dims=3, seed=4):
+    """A backend of 24 positions holding a few random segments in every class."""
     rng = np.random.default_rng(seed)
-    emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=seed), n_classes, n_dims, 24,
-                             beta=10.0, psi=1.0)
+    if backend == "rff":
+        emissions = RffEmissions(sample_feature_bank(20, 1.0, seed=seed), n_classes, n_dims,
+                                 24, beta=10.0, psi=1.0)
+    else:
+        emissions = ExactGpEmissions(n_classes, n_dims, 24, beta=10.0, lengthscale=1.0)
     for c in range(n_classes):
         for i in range(3):
             add_frames(emissions, (c, i), c, rng.normal(size=(n_dims, int(rng.integers(8, 25)))))
@@ -578,7 +641,7 @@ class TestRffPosterior:
     """The stacked predictive that ``RffEmissions.refresh`` keeps."""
 
     def test_refresh_solves_exactly_the_dirty_classes_once(self, monkeypatch):
-        emissions, rng = filled_rff()
+        emissions, rng = filled()
         seq = rng.normal(size=(3, 40))
         emissions.log_emission_tables(seq, 24)
         means, variances = emissions.means.copy(), emissions.variances.copy()
@@ -608,7 +671,7 @@ class TestRffPosterior:
             assert np.all(emissions.variances[c] <= variances[c] + 1e-12)
 
     def test_stacked_predictive_equals_class_predictive(self):
-        emissions, rng = filled_rff()
+        emissions, rng = filled()
         seq = rng.normal(size=(3, 40))
         emissions.log_emission_tables(seq, 24)
         add_frames(emissions, (2, 9), 2, rng.normal(size=(3, 12)))
@@ -620,16 +683,8 @@ class TestRffPosterior:
             np.testing.assert_array_equal(emissions.means[c], means)
             np.testing.assert_array_equal(emissions.variances[c], variances[:, 0])
 
-    def test_more_positions_than_kmax_are_refused(self):
-        emissions, rng = filled_rff()
-        seq = rng.normal(size=(3, 40))
-        with pytest.raises(ValueError, match="25 positions asked of a model of 24"):
-            emissions.log_emission_tables(seq, 25)
-        np.testing.assert_array_equal(emissions.log_emission_tables(seq, 9),
-                                      emissions.log_emission_tables(seq, 24)[:, :9])
-
     def test_class_models_are_standalone_copies_of_the_grid(self):
-        emissions, rng = filled_rff()
+        emissions, rng = filled()
         seq = rng.normal(size=(3, 40))
         models = emissions.class_models
         assert [m.n_points for m in models] == emissions.counts.sum(axis=1).tolist()
@@ -640,7 +695,7 @@ class TestRffPosterior:
         assert emissions.class_models[1].n_points == models[1].n_points - 12
 
     def test_disagreeing_precision_names_class_and_dimension(self):
-        emissions, _ = filled_rff()
+        emissions, _ = filled()
         model = emissions.class_models[1]
         model.stats[2].precision[0, 0] += 1e-9
         with pytest.raises(ValueError, match="class 1: the precision of dimension 2"):

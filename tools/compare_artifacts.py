@@ -31,6 +31,7 @@ C6 = "c6/synthetic-*.txt"
 C6_FLAGS = ["--label-column", "2", "--classes", "3", "--kmin", "10", "--kmax", "30",
             "--mean-length", "20", "--iterations", "5", "--seed", "0"]
 BASE = "base/synthetic-*.txt"
+SHORT = "short/synthetic-*.txt"
 
 STEPS = [
     ["synth", "--out", "c6", "--seed", "42", "--sequences", "5", "--frames", "120"],
@@ -38,6 +39,8 @@ STEPS = [
     ["synth", "--out", "base", "--preset", "bench-base", "--seed", "20"],
     ["synth", "--out", "heldout", "--preset", "bench-base", "--seed", "21",
      "--sequences", "4", "--frames", "164"],
+    # sequences shorter than kmax=30: their tables read a prefix of the positions
+    ["synth", "--out", "short", "--seed", "43", "--sequences", "3", "--frames", "25"],
     *[step for backend in ("rff", "exact-gp") for step in (
         ["train", "--data", C6, "--out", f"train-{backend}", "--backend", backend,
          *C6_FLAGS, "--restarts", "2"],
@@ -47,6 +50,8 @@ STEPS = [
          "--out", f"eval-{backend}.json"],
         ["eval", "--labels", f"segment-{backend}/labels.txt", "--truth", "c6/truth.txt",
          "--out", f"eval-segment-{backend}.json"],
+        ["segment", "--model", f"train-{backend}/model.json", "--data", SHORT,
+         "--label-column", "2", "--seed", "1", "--out", f"segment-short-{backend}"],
     )],
     # bench-base passed twice, then four held-out sequences
     ["train", "--data", BASE, BASE, "--label-column", "8", "--iterations", "3",
