@@ -35,7 +35,8 @@ from .data import (
     preprocess,
     quickstart_spec,
 )
-from .hsmm import InfeasibleSequenceError, backward_sample, forward_filter, tileable
+from .hsmm import (InfeasibleSequenceError, backward_sample, forward_filter, json_object,
+                   tileable)
 from .trainer import (
     BACKENDS,
     ConfigError,
@@ -247,7 +248,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "format_version": SNAPSHOT_VERSION,
         "config": echo,
         "build": build,
-        "preprocess": store.record.to_dict() if store.record else None,
+        "preprocess": store.record.to_dict(),
         "model": snapshot_dict(result.state),
     })
     _write_segmentation(out, store, result.labels, result.spans,
@@ -278,12 +279,9 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
     limit_threads(cfg.threads)
     try:
         with open(model_path, "r", encoding="utf-8") as fh:
-            snap = json.load(fh)
+            snap = json_object("snapshot", json.load(fh))
     except ValueError as exc:
         raise DataFormatError(f"{model_path}: not a JSON snapshot: {exc}") from exc
-    if not isinstance(snap, dict):
-        raise DataFormatError(
-            f"{model_path}: snapshot must be a JSON object, got {type(snap).__name__}")
     version = snap.get("format_version")
     if version != SNAPSHOT_VERSION:
         raise DataFormatError(
@@ -291,14 +289,10 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
             f"supported (this build reads version {SNAPSHOT_VERSION})")
     store = load_sequences(cfg.data, cfg.schema())
     try:
-        model_cfg = snap["config"]
-        if not isinstance(snap["model"], dict):
-            raise ValueError(f"snapshot model must be a JSON object, "
-                             f"got {type(snap['model']).__name__}")
-        if snap.get("preprocess"):
-            record = PreprocessRecord.from_dict(snap["preprocess"])
-            store = preprocess(store, downsample=record.downsample,
-                               normalize=record.normalized, record=record)
+        model_cfg = json_object("config", snap["config"])
+        record = PreprocessRecord.from_dict(snap["preprocess"])
+        store = preprocess(store, downsample=record.downsample,
+                           normalize=record.normalized, record=record)
         _, emissions = emissions_from_snapshot(
             snap["model"], store.n_dims, model_cfg["beta"], model_cfg["psi"],
             model_cfg["lengthscale"])
@@ -488,6 +482,19 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="cell delimiter (default: any whitespace)")
 
 
+def _comma_list(flag: str, text: str, convert, what: str, valid=lambda value: True,
+                distinct: bool = True) -> list:
+    """``text``'s comma-separated entries through ``convert``, less any that are or become ``""``;
+    ``ConfigError`` naming ``flag`` unless each converts and is ``valid``, and one is left."""
+    try:
+        values = [v for v in (convert(entry) for entry in text.split(",") if entry) if v != ""]
+    except ValueError:
+        values = []
+    if not values or not all(map(valid, values)) or distinct and len(set(values)) < len(values):
+        raise ConfigError(f"{flag} must list {what}, got {text!r}")
+    return values
+
+
 def _runconfig_from_args(args) -> RunConfig:
     """The ``RunConfig`` of the flags given; the rest keep its defaults.
 
@@ -498,13 +505,7 @@ def _runconfig_from_args(args) -> RunConfig:
     given = {k: v for k, v in vars(args).items() if k in names}
     if "columns" in given:
         text = given["columns"]
-        try:
-            columns = [int(v) for v in text.split(",") if v != ""]
-        except ValueError:
-            columns = []
-        if not columns:
-            raise ConfigError(f"--columns must list column indices, got {text!r}")
-        given["columns"] = columns
+        given["columns"] = _comma_list("--columns", text, int, "column indices", distinct=False)
     label = given.get("label_column")
     if label is not None and label < 0:
         raise ConfigError(f"--label-column must be >= 0, got {label}")
@@ -575,6 +576,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before any verb draws from it
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "train":
             return cmd_train(_runconfig_from_args(args))
         if args.command == "segment":
@@ -583,23 +586,12 @@ def main(argv=None) -> int:
             return cmd_eval(args.labels, args.truth, args.out)
         if args.command == "bench":
             cfg = _runconfig_from_args(args)
-            try:
-                dups = [int(v) for v in args.duplications.split(",") if v != ""]
-            except ValueError:
-                dups = []
-            if not dups or any(d < 1 for d in dups) or len(set(dups)) < len(dups):
-                raise ConfigError(
-                    f"--duplications must list distinct positive integers, "
-                    f"got {args.duplications!r}")
+            dups = _comma_list("--duplications", args.duplications, int,
+                               "distinct positive integers", lambda d: d >= 1)
             if args.trials < 1:
                 raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-            backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-            for b in backends:
-                if b not in BACKENDS:
-                    raise ConfigError(f"unknown backend {b!r} in --backends")
-            if not backends or len(set(backends)) < len(backends):
-                raise ConfigError(f"--backends must list distinct backends, "
-                                  f"got {args.backends!r}")
+            backends = _comma_list("--backends", args.backends, str.strip,
+                                   f"distinct backends of {BACKENDS}", BACKENDS.__contains__)
             return cmd_bench(cfg, dups, backends, args.trials, args.max_gp_frames)
         if args.command == "synth":
             overrides = {k: v for k, v in vars(args).items()

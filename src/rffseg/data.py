@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .hsmm import integer_array
+from .hsmm import json_object, number_array
 
 __all__ = [
     "DataFormatError",
@@ -92,21 +92,17 @@ class PreprocessRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessRecord":
-        """The record ``to_dict`` wrote; ``ValueError`` for a ``downsample``
-        that is not one integer, a ``normalized`` that is not a boolean, or
-        ``mins`` or ``maxs`` that are not a list of numbers."""
+        """The record ``to_dict`` wrote; ``ValueError`` for a ``normalized`` that is not a
+        boolean, or for fields that are not what :func:`~rffseg.hsmm.number_array` asks: one
+        integer ``downsample`` and, if ``normalized``, lists ``mins`` and ``maxs``."""
+        d = json_object("preprocess", d)
         if not isinstance(d["normalized"], bool):
             raise ValueError(
                 f"preprocess.normalized must be true or false, got {d['normalized']!r}")
-        bounds = {}
-        for name in ("mins", "maxs"):
-            values = d.get(name)
-            if values is not None and not (isinstance(values, list) and all(
-                    type(v) in (int, float) for v in values)):
-                raise ValueError(f"preprocess.{name} must be a list of numbers, got {values!r}")
-            bounds[name] = None if values is None else np.asarray(values, dtype=np.float64)
+        bounds = {name: number_array(f"preprocess.{name}", d[name], (None,))
+                  for name in ("mins", "maxs")} if d["normalized"] else {}
         return cls(
-            downsample=int(integer_array("preprocess.downsample", d["downsample"], ())),
+            downsample=int(number_array("preprocess.downsample", d["downsample"], (), np.int64)),
             normalized=d["normalized"], **bounds)
 
 

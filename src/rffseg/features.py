@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hsmm import check_positive_finite, integer_array
+from .hsmm import check_positive_finite, json_object, number_array
 
 __all__ = ["FeatureBank", "sample_feature_bank"]
 
@@ -40,12 +40,8 @@ class FeatureBank:
         object.__setattr__(self, "lengthscale",
                            check_positive_finite("bank.lengthscale", self.lengthscale))
         for name in ("omegas", "phases"):
-            values = np.asarray(getattr(self, name), dtype=np.float64)
-            if values.shape != (self.n_features,):
-                raise ValueError("omegas and phases must both have shape (n_features,)")
-            if not np.isfinite(values).all():
-                raise ValueError(f"bank.{name} must be finite")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, number_array(
+                f"bank.{name}", getattr(self, name), (self.n_features,)))
 
     def phi(self, t) -> np.ndarray:
         """Feature vector ``sqrt(2/M) * cos(omega * t + phase)``.
@@ -85,15 +81,15 @@ class FeatureBank:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureBank":
-        """The bank ``to_dict`` wrote; ``ValueError`` names a field that is not an
-        integer (:func:`~rffseg.hsmm.integer_array`), a lengthscale that is not a
-        finite positive number, or omegas and phases that are not finite."""
+        """The bank ``to_dict`` wrote; ``ValueError`` names a field that is not what
+        :func:`~rffseg.hsmm.number_array`, or for ``lengthscale`` its own check, asks."""
+        d = json_object("bank", d)
         return cls(
-            n_features=int(integer_array("bank.n_features", d["n_features"], ())),
+            n_features=int(number_array("bank.n_features", d["n_features"], (), np.int64)),
             lengthscale=d["lengthscale"],
-            seed=int(integer_array("bank.seed", d["seed"], (), np.uint64)),
-            omegas=np.asarray(d["omegas"], dtype=np.float64),
-            phases=np.asarray(d["phases"], dtype=np.float64),
+            seed=int(number_array("bank.seed", d["seed"], (), np.uint64)),
+            omegas=d["omegas"],
+            phases=d["phases"],
         )
 
 
@@ -107,14 +103,13 @@ def sample_feature_bank(n_features: int, lengthscale: float = 1.0, seed: int = 0
     """
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
-    if lengthscale <= 0:
-        raise ValueError(f"lengthscale must be > 0, got {lengthscale}")
+    lengthscale = check_positive_finite("lengthscale", lengthscale)
     rng = np.random.default_rng(seed)
     omegas = rng.normal(0.0, 1.0 / lengthscale, size=n_features)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_features)
     return FeatureBank(
         n_features=n_features,
-        lengthscale=float(lengthscale),
+        lengthscale=lengthscale,
         seed=int(seed),
         omegas=omegas,
         phases=phases,

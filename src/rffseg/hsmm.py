@@ -80,21 +80,41 @@ def check_positive_finite(name: str, value: float, error=ValueError) -> float:
     return value
 
 
-def integer_array(name: str, values, shape=None, dtype=np.int64) -> np.ndarray:
-    """``values`` as ``dtype``; ``ValueError`` naming ``name`` unless each is an
-    integer within ``dtype`` (a float with no fraction, as JSON may write one)
-    and, if ``shape`` is given, the array has that shape (``()`` for one value)."""
-    array = np.asarray(values)
-    if array.dtype != dtype:
-        info = np.iinfo(dtype)
-        for value in array.ravel().tolist():
-            if not (type(value) in (int, float) and info.min <= value <= info.max
-                    and float(value).is_integer()):
-                raise ValueError(f"{name} must hold integers within {info.dtype}, "
-                                 f"got {value!r}")
-    if shape is not None and array.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    return array.astype(dtype)
+def number_array(name: str, values, shape=None, dtype=np.float64) -> np.ndarray:
+    """``values``, a number or nested lists of them, as a ``dtype`` array; ``ValueError``
+    names ``name`` and the first bad value unless the lists are rectangular, each entry
+    is a finite int or float (for an integer ``dtype``, an integer it holds, which JSON
+    may write as ``2.0``) and the array has ``shape``, if given (``None``: any length)."""
+    dims, level = [], [values.tolist() if isinstance(values, np.ndarray) else values]
+    while level and type(level[0]) is list:
+        for row in level:
+            if type(row) is not list or len(row) != len(level[0]):
+                raise ValueError(f"{name} must be a rectangular array, got row {row!r}")
+        dims.append(len(level[0]))
+        level = [value for row in level for value in row]
+    integer = np.issubdtype(dtype, np.integer)
+    info = np.iinfo(dtype) if integer else np.finfo(dtype)
+    low, high = int(info.min), int(info.max)
+    # entries that are all floats are checked in one pass, after conversion
+    for value in level if integer or set(map(type, level)) - {float} else ():
+        if not (type(value) in (int, float) and low <= value <= high
+                and (not integer or float(value).is_integer())):
+            kind = f"hold integers within {info.dtype}" if integer else "be finite numbers"
+            raise ValueError(f"{name} must {kind}, got {value!r}")
+    array = np.array(level, dtype=dtype)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite numbers, got {array[~np.isfinite(array)][0]}")
+    if shape is not None and (len(shape) != len(dims) or any(
+            want not in (None, got) for want, got in zip(shape, dims))):
+        raise ValueError(f"{name} must have shape {shape}, got {tuple(dims)}")
+    return array.reshape(dims)
+
+
+def json_object(name: str, value) -> dict:
+    """``value``; ``ValueError`` naming ``name`` unless it is a dict (a JSON object)."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _poisson_logpmf(k: int, lam: float) -> float:

@@ -32,7 +32,8 @@ from .hsmm import (
     check_positive_finite,
     forward_filter,
     gaussian_log_table,
-    integer_array,
+    json_object,
+    number_array,
     tileable,
 )
 
@@ -99,6 +100,8 @@ class TrainerConfig:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class PhaseTimer:
@@ -425,26 +428,25 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
     uniform-random labels; the backend's ``rebuild`` then builds every
     class's statistics from the assignments at once.
     """
-    config.validate()
-    sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not sequences:
-        raise ConfigError("at least one sequence is required")
-    n_dims = sequences[0].shape[0]
-    for i, s in enumerate(sequences):
-        if s.ndim != 2 or s.shape[0] != n_dims:
-            raise ConfigError(
-                f"sequence {i} must be (n_dims, T) with n_dims={n_dims}, "
-                f"got shape {s.shape}")
-    bad = [i for i, s in enumerate(sequences)
-           if not tileable(s.shape[1], config.kmin, config.kmax)]
-    if bad:
-        raise InfeasibleSequenceError(
-            f"sequences {bad} cannot be tiled with lengths in "
-            f"[{config.kmin}, {config.kmax}]")
-
-    # everything that builds the chain's starting state is timed as stats
+    # everything that builds the chain's starting state, checks too, is timed as stats
     timer = PhaseTimer()
     with timer.phase("stats"):
+        config.validate()
+        sequences = [np.asarray(s, dtype=np.float64) for s in sequences]
+        if not sequences:
+            raise ConfigError("at least one sequence is required")
+        n_dims = sequences[0].shape[0]
+        for i, s in enumerate(sequences):
+            if s.ndim != 2 or s.shape[0] != n_dims:
+                raise ConfigError(
+                    f"sequence {i} must be (n_dims, T) with n_dims={n_dims}, "
+                    f"got shape {s.shape}")
+        bad = [i for i, s in enumerate(sequences)
+               if not tileable(s.shape[1], config.kmin, config.kmax)]
+        if bad:
+            raise InfeasibleSequenceError(
+                f"sequences {bad} cannot be tiled with lengths in "
+                f"[{config.kmin}, {config.kmax}]")
         ss = np.random.SeedSequence(config.seed)
         bank_ss, gibbs_ss = ss.spawn(2)
         bank_seed = int(bank_ss.generate_state(1, dtype=np.uint64)[0])
@@ -592,57 +594,51 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     """Rebuild an emission backend (and bank) from a snapshot dict.
 
     An exact-gp class is added as one sequence, its stored values, whose
-    segments start wherever a run of positions restarts at 1.  Raises
-    ``ValueError`` for a backend not in ``BACKENDS``, when the snapshot was
-    trained on a different number of dimensions than ``n_dims``, when
-    ``beta``, ``psi`` or ``lengthscale`` is not finite and positive, when
-    an rff class's counts are not ``hsmm.kmax`` non-negative integers or
-    its sums not ``(kmax, n_dims)`` finite numbers, or when an exact-gp
-    class's values are not one row of ``n_dims`` finite numbers per
-    position or its positions are not such runs.
+    segments start wherever a run of positions restarts at 1.  ``ValueError``
+    names a section that is not a JSON object (``classes``: a list), numbers
+    that are not what :func:`~rffseg.hsmm.number_array` asks, negative counts,
+    taus that are not runs from 1, an unknown backend, another ``n_dims``, or a
+    ``beta``, ``psi`` or ``lengthscale`` that is not finite and positive.
     """
+    snap = json_object("snapshot model", snap)
     if snap["backend"] not in BACKENDS:
         raise ValueError(
             f"snapshot backend {snap['backend']!r} is not one of {BACKENDS}")
-    if int(integer_array("n_dims", snap["n_dims"], ())) != n_dims:
+    if int(number_array("n_dims", snap["n_dims"], (), np.int64)) != n_dims:
         raise ValueError(
             f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")
     for name, value in (("beta", beta), ("psi", psi), ("lengthscale", lengthscale)):
         check_positive_finite(name, value)
     bank = FeatureBank.from_dict(snap["bank"])
-    kmax = int(integer_array("hsmm.kmax", snap["hsmm"]["kmax"], ()))
+    kmax = int(number_array("hsmm.kmax", json_object("hsmm", snap["hsmm"])["kmax"], (),
+                            np.int64))
     classes = snap["classes"]
+    if not isinstance(classes, list):
+        raise ValueError(f"classes must be a list, got {type(classes).__name__}")
+    entries = [json_object(f"snapshot class {c}", entry) for c, entry in enumerate(classes)]
     if snap["backend"] == "rff":
-        counts = [integer_array(f"class {c} counts", e["counts"]) for c, e in enumerate(classes)]
-        sums = [np.asarray(e["sums"], dtype=np.float64) for e in classes]
-        for c, (n, x) in enumerate(zip(counts, sums)):
-            if n.shape != (kmax,) or x.shape != (kmax, n_dims):
-                raise ValueError(
-                    f"snapshot class {c}: counts and sums must have shapes ({kmax},) "
-                    f"and ({kmax}, {n_dims}), got {n.shape} and {x.shape}")
+        counts = [number_array(f"snapshot class {c}: counts", e["counts"], (kmax,), np.int64)
+                  for c, e in enumerate(entries)]
+        sums = [number_array(f"snapshot class {c}: sums", e["sums"], (kmax, n_dims))
+                for c, e in enumerate(entries)]
+        for c, n in enumerate(counts):
             if (n < 0).any():
                 raise ValueError(f"snapshot class {c}: counts must not be negative, got {n.min()}")
-            if not np.isfinite(x).all():
-                raise ValueError(f"snapshot class {c}: sums must be finite")
         # allocated once the shapes are known to be the data's
-        emissions = RffEmissions(bank, len(classes), n_dims, kmax, beta, psi)
+        emissions = RffEmissions(bank, len(entries), n_dims, kmax, beta, psi)
         emissions.counts[...] = np.reshape(counts, emissions.counts.shape)
         emissions.sums[...] = np.reshape(sums, emissions.sums.shape)
     else:
-        emissions = ExactGpEmissions(len(classes), n_dims, kmax, beta, lengthscale)
-        stored = [np.asarray(e["taus"], dtype=np.float64) for e in classes]
-        for c, (entry, taus) in enumerate(zip(classes, stored)):
-            values = np.asarray(entry["values"], dtype=np.float64)
-            if values.size == 0:  # an unused class stores its values as []
-                values = values.reshape(0, n_dims)
-            if values.shape != (taus.size, n_dims):
-                raise ValueError(f"snapshot class {c}: values must have shape "
-                                 f"({taus.size}, {n_dims}), got {values.shape}")
-            if not np.isfinite(values).all():
-                raise ValueError(f"snapshot class {c}: values must be finite")
+        emissions = ExactGpEmissions(len(entries), n_dims, kmax, beta, lengthscale)
+        stored = [number_array(f"snapshot class {c}: taus", e["taus"], (None,))
+                  for c, e in enumerate(entries)]
+        for c, (entry, taus) in enumerate(zip(entries, stored)):
+            # an unused class stores its values as []
+            values = number_array(f"snapshot class {c}: values", entry["values"],
+                                  (taus.size, n_dims) if taus.size else (0,))
             starts = np.flatnonzero(taus == 1.0).tolist()
-            emissions.add(c, values.T, [Segment(a, b, c) for a, b in
-                                        zip(starts, starts[1:] + [taus.size])])
+            emissions.add(c, values.reshape(-1, n_dims).T,
+                          [Segment(a, b, c) for a, b in zip(starts, starts[1:] + [taus.size])])
         emissions.refresh()
         for c, (data, taus) in enumerate(zip(emissions.class_models, stored)):
             if not np.array_equal(data.taus, taus):
@@ -652,11 +648,11 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
 
 
 def hsmm_from_snapshot(snap: dict) -> HsmmParams:
-    """The chain's counts and settings from a snapshot dict (see :func:`integer_array`)."""
-    h = snap["hsmm"]
-    n_classes, kmin, kmax = (int(integer_array(f"hsmm.{name}", h[name], ()))
+    """The chain's counts and settings from a snapshot dict (see :func:`number_array`)."""
+    h = json_object("hsmm", json_object("snapshot model", snap)["hsmm"])
+    n_classes, kmin, kmax = (int(number_array(f"hsmm.{name}", h[name], (), np.int64))
                              for name in ("n_classes", "kmin", "kmax"))
-    counts = {name: integer_array(f"hsmm.{name}", h[name])
+    counts = {name: number_array(f"hsmm.{name}", h[name], dtype=np.int64)
               for name in ("transition_counts", "class_counts")}
     rates = {name: check_positive_finite(f"hsmm.{name}", h[name])
              for name in ("mean_length", "alpha")}

@@ -52,6 +52,16 @@ ECHO_KEYS = [
 ]
 
 
+def exact_gp_classes(**damage):
+    """A damage turning a snapshot into an exact-gp one whose three classes are
+    empty but for ``damage`` to class 0."""
+    def apply(snap):
+        classes = [{"class_id": c, "taus": [], "values": []} for c in range(3)]
+        classes[0].update(damage)
+        snap["model"].update(backend="exact-gp", classes=classes)
+    return apply
+
+
 def verb_parser(verb):
     parser = build_parser()
     sub = next(a for a in parser._actions
@@ -69,6 +79,14 @@ class TestRunConfig:
     def test_flags_left_out_keep_the_defaults(self):
         args = build_parser().parse_args(["train", "--data", "x", "--out", "y"])
         assert _runconfig_from_args(args) == RunConfig(data=["x"], out="y")
+
+    @pytest.mark.parametrize("verb", ["train", "bench", "segment", "synth"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, verb):
+        data = [] if verb == "synth" else ["--data", tmp_path / "x.txt"]
+        model = ["--model", tmp_path / "model.json"] if verb == "segment" else []
+        assert run([verb, *model, *data, "--out", tmp_path / "out", "--seed", -1]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("columns", [",", "a", "0,b"])
     def test_bad_column_list_names_the_flag(self, tmp_path, capsys, columns):
@@ -332,10 +350,9 @@ class TestSegment:
         (lambda s: s["model"]["classes"][0]["counts"].__setitem__(0, -1),
          "snapshot class 0: counts must not be negative, got -1"),
         (lambda s: s["model"]["classes"][0]["counts"].__setitem__(0, 0.5),
-         "class 0 counts must hold integers within int64, got 0.5"),
+         "snapshot class 0: counts must hold integers within int64, got 0.5"),
         (lambda s: s["model"]["classes"][0]["counts"].pop(),
-         "snapshot class 0: counts and sums must have shapes (22,) and (22, 2), "
-         "got (21,) and (22, 2)"),
+         "snapshot class 0: counts must have shape (22,), got (21,)"),
         (lambda s: s["model"]["classes"][0]["sums"][0].__setitem__(0, float("nan")),
          "snapshot class 0: sums must be finite"),
         (lambda s: s["model"]["hsmm"]["transition_counts"][0].__setitem__(0, 1e30),
@@ -382,7 +399,7 @@ class TestSegment:
         (lambda s: s["preprocess"]["maxs"].pop(),
          "normalization record covers 1 dimensions, data has 2: maxs has shape (1,)"),
         (lambda s: s["preprocess"]["maxs"].__setitem__(0, float("inf")),
-         "normalization record's maxs must be finite"),
+         "preprocess.maxs must be finite numbers, got inf"),
         (lambda s: s["preprocess"].update(downsample=1.5),
          "preprocess.downsample must hold integers within int64, got 1.5"),
         (lambda s: s["preprocess"].update(normalized="no"),
@@ -401,7 +418,34 @@ class TestSegment:
         (lambda s: s["model"]["bank"]["phases"].__setitem__(0, float("inf")),
          "bank.phases must be finite"),
         (lambda s: s["preprocess"].update(mins={}),
-         "preprocess.mins must be a list of numbers, got {}"),
+         "preprocess.mins must be finite numbers, got {}"),
+        (lambda s: s["model"]["bank"].update(omegas={}),
+         "bank.omegas must be finite numbers, got {}"),
+        (lambda s: s["model"]["classes"][0].update(sums={}),
+         "snapshot class 0: sums must be finite numbers, got {}"),
+        (lambda s: s["model"]["classes"].__setitem__(0, []),
+         "snapshot class 0 must be a JSON object, got list"),
+        (lambda s: s["model"].update(classes=5), "classes must be a list, got int"),
+        (lambda s: s.update(config=[]), "config must be a JSON object, got list"),
+        (lambda s: s["model"].update(bank=[]), "bank must be a JSON object, got list"),
+        (lambda s: s["model"].update(hsmm="x"), "hsmm must be a JSON object, got str"),
+        (exact_gp_classes(taus={}), "snapshot class 0: taus must be finite numbers, got {}"),
+        (exact_gp_classes(values={}), "snapshot class 0: values must be finite numbers, got {}"),
+        (lambda s: s["model"]["classes"][0]["sums"][0].__setitem__(0, True),
+         "snapshot class 0: sums must be finite numbers, got True"),
+        (lambda s: s.update(preprocess=None), "preprocess must be a JSON object, got NoneType"),
+        (lambda s: s.update(preprocess={}), "snapshot has no key 'normalized'"),
+        (lambda s: s.update(preprocess=[]), "preprocess must be a JSON object, got list"),
+        (lambda s: s.update(preprocess=0), "preprocess must be a JSON object, got int"),
+        (lambda s: s["model"]["bank"].update(omegas="x"),
+         "bank.omegas must be finite numbers, got 'x'"),
+        (lambda s: s["model"]["classes"][0].update(sums="x"),
+         "snapshot class 0: sums must be finite numbers, got 'x'"),
+        (exact_gp_classes(taus="x"), "snapshot class 0: taus must be finite numbers, got 'x'"),
+        (lambda s: s["model"]["hsmm"]["transition_counts"][1].pop(),
+         "hsmm.transition_counts must be a rectangular array, got row ["),
+        (lambda s: s["preprocess"].update(mins=None),
+         "preprocess.mins must be finite numbers, got None"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums",
             "grid-count-negative", "grid-count-fraction", "grid-counts-short",
             "grid-sum-nan", "transitions-1e30", "kmin-fraction", "class-count-fraction",
@@ -414,7 +458,11 @@ class TestSegment:
             "seed-fraction", "model-list", "maxs-short", "maxs-inf", "downsample-fraction",
             "normalized-string", "mean-length-list", "alpha-string", "beta-string", "psi-null",
             "bank-lengthscale-list", "bank-lengthscale-nan", "omega-nan", "phase-inf",
-            "mins-object"])
+            "mins-object", "omegas-object", "sums-object", "class-list", "classes-number",
+            "config-list", "bank-list", "hsmm-string", "taus-object", "values-object",
+            "sum-bool", "preprocess-null", "preprocess-empty", "preprocess-list",
+            "preprocess-number", "omegas-string", "sums-string", "taus-string",
+            "transitions-ragged", "mins-null"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff

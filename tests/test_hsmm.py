@@ -15,6 +15,7 @@ from rffseg.hsmm import (
     forward_filter,
     forward_from_table,
     gaussian_log_table,
+    number_array,
     tileable,
 )
 
@@ -123,6 +124,32 @@ class TestTransition:
         params.release_labels(labels)
         assert params.class_counts.sum() == 0
         assert params.transition_counts.sum() == 0
+
+
+class TestNumberArray:
+    @pytest.mark.parametrize("values, dtype, message", [
+        ([1.0, True], np.float64, "x must be finite numbers, got True"),
+        ([[1.0, 2.0], [3.0]], np.float64, r"x must be a rectangular array, got row \[3.0\]"),
+        ({}, np.float64, r"x must be finite numbers, got \{\}"),
+        (None, np.float64, "x must be finite numbers, got None"),
+        ([[0.5], [math.nan]], np.float64, "x must be finite numbers, got nan"),
+        ([1, 2.5], np.int64, "x must hold integers within int64, got 2.5"),
+        (-1, np.uint64, "x must hold integers within uint64, got -1"),
+    ], ids=["bool", "ragged", "dict", "none", "nan", "fraction", "uint64-negative"])
+    def test_refusal_names_the_field_and_the_first_bad_value(self, values, dtype, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            number_array("x", values, dtype=dtype)
+
+    def test_none_axis_takes_any_length(self):
+        assert number_array("x", [[1, 2]] * 3, (None, 2)).shape == (3, 2)
+        assert number_array("x", [], (None,)).shape == (0,)
+        with pytest.raises(ValueError, match=r"^x must have shape \(None, 3\), got \(2, 2\)$"):
+            number_array("x", [[1, 2], [3, 4]], (None, 3))
+
+    def test_integers_keep_their_range(self):
+        top = number_array("x", 2**64 - 1, (), np.uint64)
+        assert top.dtype == np.uint64 and int(top) == 2**64 - 1
+        assert number_array("x", [2.0, 3], dtype=np.int64).tolist() == [2, 3]
 
 
 def test_tileable():

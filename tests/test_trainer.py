@@ -73,6 +73,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=field):
                 cfg.validate()
 
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence would refuse it only when the chain is drawn
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            small_config(seed=-1).validate()
+
     def test_rejects_non_finite_mean_length_and_alpha(self):
         for field in ("mean_length", "alpha", "lengthscale", "beta", "psi"):
             for value in (float("nan"), float("inf"), float("-inf")):
