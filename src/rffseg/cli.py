@@ -49,7 +49,7 @@ from .trainer import (
     train_with_restarts,
 )
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 THREADS_ENV = "RFFSEG_THREADS"
 
@@ -293,15 +293,11 @@ def cmd_segment(cfg: RunConfig, model_path: str) -> int:
         record = PreprocessRecord.from_dict(snap["preprocess"])
         store = preprocess(store, downsample=record.downsample,
                            normalize=record.normalized, record=record)
+        # the chain first: its checks name a bad class count or kmax before the shapes do
+        hsmm = hsmm_from_snapshot(snap["model"])
         _, emissions = emissions_from_snapshot(
             snap["model"], store.n_dims, model_cfg["beta"], model_cfg["psi"],
             model_cfg["lengthscale"])
-        hsmm = hsmm_from_snapshot(snap["model"])
-        if len(snap["model"]["classes"]) != hsmm.n_classes:
-            raise ValueError(f"snapshot stores {len(snap['model']['classes'])} "
-                             f"classes, its hsmm has {hsmm.n_classes}")
-    except KeyError as exc:
-        raise DataFormatError(f"{model_path}: snapshot has no key {exc}") from exc
     except ValueError as exc:
         raise DataFormatError(f"{model_path}: {exc}") from exc
     _require_tileable(store, hsmm.kmin, hsmm.kmax)

@@ -94,16 +94,17 @@ class PreprocessRecord:
     def from_dict(cls, d: dict) -> "PreprocessRecord":
         """The record ``to_dict`` wrote; ``ValueError`` for a ``normalized`` that is not a
         boolean, or for fields that are not what :func:`~rffseg.hsmm.number_array` asks: one
-        integer ``downsample`` and, if ``normalized``, lists ``mins`` and ``maxs``."""
+        integer ``downsample`` >= 1 and, if ``normalized``, lists ``mins`` and ``maxs``."""
         d = json_object("preprocess", d)
         if not isinstance(d["normalized"], bool):
             raise ValueError(
                 f"preprocess.normalized must be true or false, got {d['normalized']!r}")
         bounds = {name: number_array(f"preprocess.{name}", d[name], (None,))
                   for name in ("mins", "maxs")} if d["normalized"] else {}
-        return cls(
-            downsample=int(number_array("preprocess.downsample", d["downsample"], (), np.int64)),
-            normalized=d["normalized"], **bounds)
+        downsample = int(number_array("preprocess.downsample", d["downsample"], (), np.int64))
+        if downsample < 1:
+            raise ValueError(f"preprocess.downsample must be >= 1, got {downsample}")
+        return cls(downsample=downsample, normalized=d["normalized"], **bounds)
 
 
 @dataclass
@@ -296,7 +297,8 @@ def preprocess(store: SequenceStore, downsample: int = 1,
     sequences normalize identically; constant dimensions map to zero.
     Passing a ``record`` reapplies previously computed statistics
     (needed to label new data with a trained model); its ``mins`` and
-    ``maxs`` must be one finite number per dimension.
+    ``maxs`` must be one finite number per dimension, none of its ``maxs``
+    below its ``mins``.
     """
     if downsample < 1:
         raise ValueError(f"downsample must be >= 1, got {downsample}")
@@ -317,6 +319,10 @@ def preprocess(store: SequenceStore, downsample: int = 1,
             if not np.isfinite(bounds).all():
                 raise ValueError(f"normalization record's {name} must be finite")
         mins, maxs = record.mins, record.maxs
+        if (maxs < mins).any():
+            d = int(np.argmax(maxs < mins))
+            raise ValueError(f"normalization record's dimension {d} has maxs "
+                             f"{float(maxs[d])} below its mins {float(mins[d])}")
     else:
         stacked = np.hstack(seqs)
         mins = stacked.min(axis=1)

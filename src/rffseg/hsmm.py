@@ -110,20 +110,27 @@ def number_array(name: str, values, shape=None, dtype=np.float64) -> np.ndarray:
     return array.reshape(dims)
 
 
+class _JsonObject(dict):
+    """A JSON object whose missing keys raise ``ValueError`` naming it, ``name``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.name} has no key {key!r}")
+
+
 def json_object(name: str, value) -> dict:
-    """``value``; ``ValueError`` naming ``name`` unless it is a dict (a JSON object)."""
+    """A copy of ``value`` whose missing keys raise ``ValueError`` naming ``name``;
+    ``ValueError`` naming ``name`` unless it is a dict (a JSON object)."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _poisson_logpmf(k: int, lam: float) -> float:
-    return k * math.log(lam) - lam - math.lgamma(k + 1)
+    section = _JsonObject(value)
+    section.name = name
+    return section
 
 
 @functools.lru_cache(maxsize=64)
 def _log_durations(kmin: int, kmax: int, lam: float) -> np.ndarray:
-    log_dur = np.array([_poisson_logpmf(k, lam) for k in range(kmin, kmax + 1)])
+    log_dur = np.array([k * math.log(lam) - lam - math.lgamma(k + 1)
+                        for k in range(kmin, kmax + 1)])
     log_dur.flags.writeable = False
     return log_dur
 
@@ -173,16 +180,11 @@ class HsmmParams:
             if (counts < 0).any():
                 raise ValueError(f"{name} must not be negative, got {counts.min()}")
 
-    def duration_logpmf(self, k: int) -> float:
-        """Raw Poisson log pmf of a segment length.
+    def log_durations(self, kmax: int) -> np.ndarray:
+        """The raw Poisson log pmf of each length ``kmin..kmax``, as a read-only array.
 
         The DP only evaluates lengths inside [kmin, kmax] and never
         renormalizes the truncated weights.
-        """
-        return _poisson_logpmf(k, self.mean_length)
-
-    def log_durations(self, kmax: int) -> np.ndarray:
-        """``duration_logpmf(k)`` for k in ``kmin..kmax``, as a read-only array.
 
         Cached by the values of ``(kmin, kmax, mean_length)``, so every
         call with the same window and mean shares one array.

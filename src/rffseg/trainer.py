@@ -132,6 +132,43 @@ class _Phase:
         return False
 
 
+def position_statistics(sequences, assignments, n_classes: int, kmax: int):
+    """Every class's frame ``counts`` ``(C, kmax)`` and ``sums`` ``(C, kmax, D)`` at each
+    within-segment position under ``assignments``, in whole-array passes.
+
+    ``bincount`` over each assigned frame's (class, position) cell gives
+    the counts of the backends' ``add`` and ``remove``, and weighted by each
+    dimension's frames their sums up to round-off, which the audit checks.
+    """
+    n_dims = sequences[0].shape[0]
+    offsets = np.cumsum([0] + [seq.shape[1] for seq in sequences])
+    spans = np.array([(offset + seg.start, seg.stop - seg.start, seg.label)
+                      for offset, segs in zip(offsets, assignments) for seg in segs],
+                     dtype=np.int64).reshape(-1, 3)
+    starts, lengths, labels = spans.T
+    if lengths.max(initial=1) > kmax:
+        raise ValueError(f"a segment of {lengths.max()} frames: lengths must be <= {kmax}")
+    ends = np.cumsum(lengths)
+    # each assigned frame's 0-based position in its segment, its frame
+    # in the concatenated corpus and its (class, position) cell, built
+    # in place: each corpus-long temporary raised the peak memory
+    positions = np.arange(ends[-1] if ends.size else 0)
+    positions -= np.repeat(ends - lengths, lengths)
+    frames = np.repeat(starts, lengths)
+    frames += positions
+    cells = np.repeat(labels * kmax, lengths)
+    cells += positions
+    del positions
+    counts = np.bincount(cells, minlength=n_classes * kmax).reshape(n_classes, kmax)
+    sums = np.empty((n_classes * kmax, n_dims))
+    row = np.empty(offsets[-1])
+    for d in range(n_dims):
+        # one dimension of the corpus at a time: no copy of the whole of it
+        np.concatenate([seq[d] for seq in sequences], out=row)
+        sums[:, d] = np.bincount(cells, weights=row[frames], minlength=n_classes * kmax)
+    return counts, sums.reshape(n_classes, kmax, n_dims)
+
+
 class PositionPredictives:
     """Every class's Gaussian predictive at within-segment positions ``1..kmax``.
 
@@ -230,51 +267,20 @@ class RffEmissions(PositionPredictives):
         return models
 
     def rebuild(self, sequences, assignments) -> None:
-        """Set every class's counts and sums from ``assignments`` in whole-array passes.
-
-        ``bincount`` over each assigned frame's (class, position) cell gives
-        the counts of :meth:`add` and :meth:`remove`, and weighted by each
-        dimension's frames their sums up to round-off, which the audit checks.
-        """
-        n_classes, k, n_dims = self.sums.shape
-        offsets = np.cumsum([0] + [seq.shape[1] for seq in sequences])
-        spans = np.array([(offset + seg.start, seg.stop - seg.start, seg.label)
-                          for offset, segs in zip(offsets, assignments) for seg in segs],
-                         dtype=np.int64).reshape(-1, 3)
-        starts, lengths, labels = spans.T
-        if lengths.max(initial=1) > k:
-            raise ValueError(f"a segment of {lengths.max()} frames: lengths must be <= {k}")
-        ends = np.cumsum(lengths)
-        # each assigned frame's 0-based position in its segment, its frame
-        # in the concatenated corpus and its (class, position) cell, built
-        # in place: each corpus-long temporary raised the peak memory
-        positions = np.arange(ends[-1] if ends.size else 0)
-        positions -= np.repeat(ends - lengths, lengths)
-        frames = np.repeat(starts, lengths)
-        frames += positions
-        cells = np.repeat(labels * k, lengths)
-        cells += positions
-        del positions
-        self.counts[...] = np.bincount(cells, minlength=n_classes * k).reshape(n_classes, k)
-        sums = self.sums.reshape(n_classes * k, n_dims)
-        row = np.empty(offsets[-1])
-        for d in range(n_dims):
-            # one dimension of the corpus at a time: no copy of the whole of it
-            np.concatenate([seq[d] for seq in sequences], out=row)
-            sums[:, d] = np.bincount(cells, weights=row[frames], minlength=n_classes * k)
+        """Set every class's counts and sums from ``assignments`` (:func:`position_statistics`)."""
+        self.counts[...], self.sums[...] = position_statistics(sequences, assignments,
+                                                               *self.counts.shape)
         self.dirty[...] = True
 
     def audit_deviation(self, sequences, assignments) -> float:
-        """Largest ``|sums|`` gap from a batch :meth:`rebuild`; counts must be equal."""
-        n_classes, kmax, n_dims = self.sums.shape
-        fresh = RffEmissions(self.bank, n_classes, n_dims, kmax, self.beta, self.psi)
-        fresh.rebuild(sequences, assignments)
-        if not np.array_equal(self.counts, fresh.counts):
-            c = int(np.argmax((self.counts != fresh.counts).any(axis=1)))
+        """Largest ``|sums|`` gap from :func:`position_statistics`; counts must be equal."""
+        counts, sums = position_statistics(sequences, assignments, *self.counts.shape)
+        if not np.array_equal(self.counts, counts):
+            c = int(np.argmax((self.counts != counts).any(axis=1)))
             raise AuditError(
                 f"class {c}: counts {self.counts[c].tolist()} != batch counts "
-                f"{fresh.counts[c].tolist()}")
-        return float(np.max(np.abs(self.sums - fresh.sums), initial=0.0))
+                f"{counts[c].tolist()}")
+        return float(np.max(np.abs(self.sums - sums), initial=0.0))
 
 
 class ExactGpEmissions(PositionPredictives):
@@ -554,15 +560,21 @@ def train_with_restarts(sequences, config: TrainerConfig) -> SegmentationResult:
 
 
 def snapshot_dict(state: TrainerState) -> dict:
-    """Serializable model state: feature bank, class stats, chain counts.
+    """Serializable model state: feature bank, chain counts, class statistics.
 
-    An rff class is stored as its frame counts and sums at each
-    within-segment position, which do not depend on the feature bank.
+    Either backend stores every class's frame ``counts`` ``(C, kmax)`` and
+    ``sums`` ``(C, kmax, D)`` at each within-segment position: rff its
+    running ones, exact-gp those of its assignments.  Both posteriors
+    depend on a class's frames only through them.
     """
-    hsmm = state.hsmm
-    out = {
-        "backend": state.emissions.backend_name,
-        "n_dims": state.sequences[0].shape[0],
+    hsmm, emissions = state.hsmm, state.emissions
+    if emissions.backend_name == "rff":
+        counts, sums = emissions.counts, emissions.sums
+    else:
+        counts, sums = position_statistics(state.sequences, state.assignments,
+                                           hsmm.n_classes, hsmm.kmax)
+    return {
+        "backend": emissions.backend_name,
         "bank": state.bank.to_dict(),
         "hsmm": {
             "n_classes": hsmm.n_classes,
@@ -573,77 +585,59 @@ def snapshot_dict(state: TrainerState) -> dict:
             "transition_counts": hsmm.transition_counts.tolist(),
             "class_counts": hsmm.class_counts.tolist(),
         },
+        "counts": counts.tolist(),
+        "sums": sums.tolist(),
     }
-    if state.emissions.backend_name == "rff":
-        out["classes"] = [
-            {"class_id": c, "counts": counts, "sums": sums}
-            for c, (counts, sums) in enumerate(zip(state.emissions.counts.tolist(),
-                                                   state.emissions.sums.tolist()))
-        ]
-    else:
-        state.emissions.refresh()
-        out["classes"] = [
-            {"class_id": c, "taus": data.taus.tolist(), "values": data.values.tolist()}
-            for c, data in enumerate(state.emissions.class_models)
-        ]
-    return out
 
 
 def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
                             lengthscale: float):
     """Rebuild an emission backend (and bank) from a snapshot dict.
 
-    An exact-gp class is added as one sequence, its stored values, whose
-    segments start wherever a run of positions restarts at 1.  ``ValueError``
-    names a section that is not a JSON object (``classes``: a list), numbers
-    that are not what :func:`~rffseg.hsmm.number_array` asks, negative counts,
-    taus that are not runs from 1, an unknown backend, another ``n_dims``, or a
-    ``beta``, ``psi`` or ``lengthscale`` that is not finite and positive.
+    rff loads the stored ``counts`` and ``sums``.  exact-gp adds each class as
+    one sequence of ``counts[c, k-1] - counts[c, k]`` segments of each length
+    ``k``, framed by the position means ``sums / counts``: a pooled GP depends
+    on its points only through their counts and sums at each position, so this
+    is the trained posterior up to round-off.  ``ValueError`` names a missing
+    key or a section that is not a JSON object, numbers that are not what
+    :func:`~rffseg.hsmm.number_array` asks, counts that are negative or
+    increase along position, an unknown backend, sums of other than ``n_dims``
+    dimensions, or a ``beta``, ``psi`` or ``lengthscale`` that is not finite
+    and positive.
     """
     snap = json_object("snapshot model", snap)
     if snap["backend"] not in BACKENDS:
         raise ValueError(
             f"snapshot backend {snap['backend']!r} is not one of {BACKENDS}")
-    if int(number_array("n_dims", snap["n_dims"], (), np.int64)) != n_dims:
-        raise ValueError(
-            f"snapshot was trained on {snap['n_dims']} dimensions, data has {n_dims}")
     for name, value in (("beta", beta), ("psi", psi), ("lengthscale", lengthscale)):
         check_positive_finite(name, value)
     bank = FeatureBank.from_dict(snap["bank"])
-    kmax = int(number_array("hsmm.kmax", json_object("hsmm", snap["hsmm"])["kmax"], (),
-                            np.int64))
-    classes = snap["classes"]
-    if not isinstance(classes, list):
-        raise ValueError(f"classes must be a list, got {type(classes).__name__}")
-    entries = [json_object(f"snapshot class {c}", entry) for c, entry in enumerate(classes)]
+    h = json_object("hsmm", snap["hsmm"])
+    n_classes, kmax = (int(number_array(f"hsmm.{name}", h[name], (), np.int64))
+                       for name in ("n_classes", "kmax"))
+    counts = number_array("model.counts", snap["counts"], (n_classes, kmax), np.int64)
+    sums = number_array("model.sums", snap["sums"], (n_classes, kmax, None))
+    if sums.shape[2] != n_dims:
+        raise ValueError(
+            f"snapshot was trained on {sums.shape[2]} dimensions, data has {n_dims}")
+    # how many of a class's segments have each length 1..kmax
+    ending = counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
+    if (ending < 0).any():
+        c = int(np.argmax((ending < 0).any(axis=1)))
+        raise ValueError(f"model.counts must not be negative or increase along position, "
+                         f"got class {c}: {counts[c].tolist()}")
     if snap["backend"] == "rff":
-        counts = [number_array(f"snapshot class {c}: counts", e["counts"], (kmax,), np.int64)
-                  for c, e in enumerate(entries)]
-        sums = [number_array(f"snapshot class {c}: sums", e["sums"], (kmax, n_dims))
-                for c, e in enumerate(entries)]
-        for c, n in enumerate(counts):
-            if (n < 0).any():
-                raise ValueError(f"snapshot class {c}: counts must not be negative, got {n.min()}")
-        # allocated once the shapes are known to be the data's
-        emissions = RffEmissions(bank, len(entries), n_dims, kmax, beta, psi)
-        emissions.counts[...] = np.reshape(counts, emissions.counts.shape)
-        emissions.sums[...] = np.reshape(sums, emissions.sums.shape)
-    else:
-        emissions = ExactGpEmissions(len(entries), n_dims, kmax, beta, lengthscale)
-        stored = [number_array(f"snapshot class {c}: taus", e["taus"], (None,))
-                  for c, e in enumerate(entries)]
-        for c, (entry, taus) in enumerate(zip(entries, stored)):
-            # an unused class stores its values as []
-            values = number_array(f"snapshot class {c}: values", entry["values"],
-                                  (taus.size, n_dims) if taus.size else (0,))
-            starts = np.flatnonzero(taus == 1.0).tolist()
-            emissions.add(c, values.reshape(-1, n_dims).T,
-                          [Segment(a, b, c) for a, b in zip(starts, starts[1:] + [taus.size])])
-        emissions.refresh()
-        for c, (data, taus) in enumerate(zip(emissions.class_models, stored)):
-            if not np.array_equal(data.taus, taus):
-                raise ValueError(
-                    f"snapshot class {c}: taus are not runs of positions 1..length")
+        emissions = RffEmissions(bank, n_classes, n_dims, kmax, beta, psi)
+        emissions.counts[...], emissions.sums[...] = counts, sums
+        return bank, emissions
+    emissions = ExactGpEmissions(n_classes, n_dims, kmax, beta, lengthscale)
+    means = sums / np.maximum(counts, 1)[:, :, None]
+    for c in range(n_classes):
+        lengths = np.repeat(np.arange(1, kmax + 1), ending[c])
+        starts = np.cumsum(lengths) - lengths
+        positions = np.arange(lengths.sum()) - np.repeat(starts, lengths)
+        emissions.add(c, means[c, positions].T,
+                      [Segment(a, a + k, c) for a, k in zip(starts.tolist(), lengths.tolist())])
     return bank, emissions
 
 

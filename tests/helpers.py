@@ -26,6 +26,11 @@ def add_frames(emissions, key, label, frames):
     emissions.add(key, frames, [Segment(0, frames.shape[1], label)])
 
 
+def poisson_logpmf(k, mean_length):
+    """The raw Poisson log pmf of a segment length, in the arithmetic of the DP's durations."""
+    return k * math.log(mean_length) - mean_length - math.lgamma(k + 1)
+
+
 def direct_log_table(means, variances, seq):
     """Per-dimension residual form of ``rffseg.hsmm.gaussian_log_table``."""
     means = np.asarray(means, dtype=np.float64)
@@ -91,7 +96,7 @@ def enumerate_posterior(tables, params, n_frames):
             start = 0
             prev = None
             for k, c in zip(lengths, labels):
-                lw += params.duration_logpmf(k)
+                lw += poisson_logpmf(k, params.mean_length)
                 for j in range(k):
                     lw += tables[c][j][start + j]
                 if prev is None:
@@ -140,7 +145,7 @@ def reference_forward(emis, params):
     kmin = params.kmin
     n_k = kmax - kmin + 1
 
-    log_dur = np.array([params.duration_logpmf(k) for k in range(kmin, kmax + 1)])
+    log_dur = np.array([poisson_logpmf(k, params.mean_length) for k in range(kmin, kmax + 1)])
     log_trans = params.log_transition_matrix()
     log_init = -math.log(n_classes)
 

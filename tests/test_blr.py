@@ -386,8 +386,8 @@ def test_statistics_restored_from_a_snapshot_grid():
     counts = [1] * 12 + [0] * 8
     sums = np.vstack([seg.T, np.zeros((8, 3))]).tolist()
     snap = json.loads(json.dumps({
-        "backend": "rff", "n_dims": 3, "bank": bank.to_dict(), "hsmm": {"kmax": 20},
-        "classes": [{"class_id": 0, "counts": counts, "sums": sums}]}))
+        "backend": "rff", "bank": bank.to_dict(), "hsmm": {"n_classes": 1, "kmax": 20},
+        "counts": [counts], "sums": [sums]}))
     restored_bank, emissions = emissions_from_snapshot(snap, 3, BETA, PSI, 1.0)
     np.testing.assert_array_equal(emissions.counts, [counts])
     np.testing.assert_array_equal(emissions.sums, [sums])

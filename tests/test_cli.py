@@ -52,16 +52,6 @@ ECHO_KEYS = [
 ]
 
 
-def exact_gp_classes(**damage):
-    """A damage turning a snapshot into an exact-gp one whose three classes are
-    empty but for ``damage`` to class 0."""
-    def apply(snap):
-        classes = [{"class_id": c, "taus": [], "values": []} for c in range(3)]
-        classes[0].update(damage)
-        snap["model"].update(backend="exact-gp", classes=classes)
-    return apply
-
-
 def verb_parser(verb):
     parser = build_parser()
     sub = next(a for a in parser._actions
@@ -243,7 +233,7 @@ class TestTrain:
         again = FeatureBank.from_dict(
             json.loads((out / "model.json").read_text())["model"]["bank"])
         assert np.array_equal(bank.omegas, again.omegas)
-        assert snap["format_version"] == 3
+        assert snap["format_version"] == 4
         assert snap["preprocess"]["downsample"] == 1
         counts = np.asarray(snap["model"]["hsmm"]["transition_counts"])
         assert counts.shape == (3, 3)
@@ -290,8 +280,8 @@ class TestSegment:
                     "--seed", 1]) == 0
         snap = json.loads((run_dir / "model.json").read_text())
         assert snap["model"]["backend"] == "exact-gp"
-        pooled = sum(len(c["taus"]) for c in snap["model"]["classes"])
-        assert pooled == 2 * 60
+        # every pooled point is counted once, at its class and position
+        assert np.sum(snap["model"]["counts"]) == 2 * 60
         seg_dir = tmp_path / "seg"
         assert run(["segment", "--model", run_dir / "model.json",
                     "--data", files[0], "--label-column", 2,
@@ -305,8 +295,9 @@ class TestSegment:
                     *TRAIN_FLAGS]) == 0
         model = run_dir / "model.json"
         snap = json.loads(model.read_text())
-        # 1 stored a precision per dimension, 2 one precision per class
-        for version in (1, 2, 99):
+        # 1 stored a precision per dimension, 2 one precision per class, 3 one
+        # object per class and exact-gp's pooled points
+        for version in (1, 2, 3, 99):
             snap["format_version"] = version
             model.write_text(json.dumps(snap))
             capsys.readouterr()
@@ -344,25 +335,32 @@ class TestSegment:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda s: s["model"].update(backend="exact_gp"), "'exact_gp'"),
-        (lambda s: s["config"].pop("beta"), "no key 'beta'"),
-        (lambda s: s["model"].pop("hsmm"), "no key 'hsmm'"),
-        (lambda s: s["model"]["classes"][0].pop("sums"), "no key 'sums'"),
-        (lambda s: s["model"]["classes"][0]["counts"].__setitem__(0, -1),
-         "snapshot class 0: counts must not be negative, got -1"),
-        (lambda s: s["model"]["classes"][0]["counts"].__setitem__(0, 0.5),
-         "snapshot class 0: counts must hold integers within int64, got 0.5"),
-        (lambda s: s["model"]["classes"][0]["counts"].pop(),
-         "snapshot class 0: counts must have shape (22,), got (21,)"),
-        (lambda s: s["model"]["classes"][0]["sums"][0].__setitem__(0, float("nan")),
-         "snapshot class 0: sums must be finite"),
+        (lambda s: s["config"].pop("beta"), "config has no key 'beta'"),
+        (lambda s: s["model"].pop("hsmm"), "snapshot model has no key 'hsmm'"),
+        (lambda s: s["model"].pop("sums"), "snapshot model has no key 'sums'"),
+        (lambda s: s["model"]["counts"][0].__setitem__(-1, -1),
+         "model.counts must not be negative or increase along position, got class 0: ["),
+        (lambda s: s["model"]["counts"][0].__setitem__(0, 0.5),
+         "model.counts must hold integers within int64, got 0.5"),
+        (lambda s: [row.pop() for row in s["model"]["counts"]],
+         "model.counts must have shape (3, 22), got (3, 21)"),
+        (lambda s: s["model"]["sums"][0][0].__setitem__(0, float("nan")),
+         "model.sums must be finite"),
         (lambda s: s["model"]["hsmm"]["transition_counts"][0].__setitem__(0, 1e30),
          "hsmm.transition_counts must hold integers within int64, got 1e+30"),
         (lambda s: s["model"]["hsmm"].update(kmin=10.7),
          "hsmm.kmin must hold integers within int64, got 10.7"),
         (lambda s: s["model"]["hsmm"]["class_counts"].__setitem__(0, 2.5),
          "hsmm.class_counts must hold integers within int64, got 2.5"),
-        (lambda s: s["model"].update(n_dims=2.5), "n_dims must hold integers within int64, got 2.5"),
-        (lambda s: s["model"]["classes"].pop(), "stores 2 classes, its hsmm has 3"),
+        (lambda s: [cell.pop() for row in s["model"]["sums"] for cell in row],
+         "snapshot was trained on 1 dimensions, data has 2"),
+        (lambda s: s["model"]["counts"].pop(), "model.counts must have shape (3, 22), got (2, 22)"),
+        (lambda s: s["model"]["sums"].pop(),
+         "model.sums must have shape (3, 22, None), got (2, 22, 2)"),
+        (lambda s: [row.pop() for row in s["model"]["sums"]],
+         "model.sums must have shape (3, 22, None), got (3, 21, 2)"),
+        (lambda s: s["model"]["counts"][1].__setitem__(1, s["model"]["counts"][1][0] + 1),
+         "model.counts must not be negative or increase along position, got class 1: ["),
         (lambda s: s["model"]["hsmm"].update(transition_counts=[[1, 0], [0, 1]]),
          "transition_counts must have shape (3, 3) for 3 classes, got (2, 2)"),
         (lambda s: s["model"]["hsmm"]["transition_counts"][0].__setitem__(0, -50),
@@ -421,48 +419,49 @@ class TestSegment:
          "preprocess.mins must be finite numbers, got {}"),
         (lambda s: s["model"]["bank"].update(omegas={}),
          "bank.omegas must be finite numbers, got {}"),
-        (lambda s: s["model"]["classes"][0].update(sums={}),
-         "snapshot class 0: sums must be finite numbers, got {}"),
-        (lambda s: s["model"]["classes"].__setitem__(0, []),
-         "snapshot class 0 must be a JSON object, got list"),
-        (lambda s: s["model"].update(classes=5), "classes must be a list, got int"),
+        (lambda s: s["model"].update(sums={}), "model.sums must be finite numbers, got {}"),
+        (lambda s: s["model"]["sums"].__setitem__(-1, []),
+         "model.sums must be a rectangular array, got row []"),
+        (lambda s: s["model"].update(counts=5), "model.counts must have shape (3, 22), got ()"),
         (lambda s: s.update(config=[]), "config must be a JSON object, got list"),
         (lambda s: s["model"].update(bank=[]), "bank must be a JSON object, got list"),
         (lambda s: s["model"].update(hsmm="x"), "hsmm must be a JSON object, got str"),
-        (exact_gp_classes(taus={}), "snapshot class 0: taus must be finite numbers, got {}"),
-        (exact_gp_classes(values={}), "snapshot class 0: values must be finite numbers, got {}"),
-        (lambda s: s["model"]["classes"][0]["sums"][0].__setitem__(0, True),
-         "snapshot class 0: sums must be finite numbers, got True"),
+        (lambda s: s["model"]["sums"][0][0].__setitem__(0, True),
+         "model.sums must be finite numbers, got True"),
         (lambda s: s.update(preprocess=None), "preprocess must be a JSON object, got NoneType"),
-        (lambda s: s.update(preprocess={}), "snapshot has no key 'normalized'"),
+        (lambda s: s.update(preprocess={}), "preprocess has no key 'normalized'"),
         (lambda s: s.update(preprocess=[]), "preprocess must be a JSON object, got list"),
         (lambda s: s.update(preprocess=0), "preprocess must be a JSON object, got int"),
         (lambda s: s["model"]["bank"].update(omegas="x"),
          "bank.omegas must be finite numbers, got 'x'"),
-        (lambda s: s["model"]["classes"][0].update(sums="x"),
-         "snapshot class 0: sums must be finite numbers, got 'x'"),
-        (exact_gp_classes(taus="x"), "snapshot class 0: taus must be finite numbers, got 'x'"),
+        (lambda s: s["model"].update(sums="x"), "model.sums must be finite numbers, got 'x'"),
         (lambda s: s["model"]["hsmm"]["transition_counts"][1].pop(),
          "hsmm.transition_counts must be a rectangular array, got row ["),
         (lambda s: s["preprocess"].update(mins=None),
          "preprocess.mins must be finite numbers, got None"),
-    ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums",
-            "grid-count-negative", "grid-count-fraction", "grid-counts-short",
-            "grid-sum-nan", "transitions-1e30", "kmin-fraction", "class-count-fraction",
-            "n-dims-fraction",
-            "one-class-fewer", "transitions-2x2", "negative-count",
-            "class-counts-short", "kmin-0", "alpha-0", "no-classes", "mean-length-0",
-            "mean-length-nan", "mean-length-inf", "alpha-nan", "alpha-inf",
-            "beta-nan", "beta-inf", "psi-nan", "psi-inf", "lengthscale-nan",
+        (lambda s: s["model"]["hsmm"].pop("alpha"), "hsmm has no key 'alpha'"),
+        (lambda s: s["model"]["bank"].pop("seed"), "bank has no key 'seed'"),
+        (lambda s: s["preprocess"].update(downsample=0),
+         "preprocess.downsample must be >= 1, got 0"),
+        (lambda s: s["preprocess"].update(mins=s["preprocess"]["maxs"],
+                                                          maxs=s["preprocess"]["mins"]),
+         "normalization record's dimension 0 has maxs "),
+    ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums", "grid-count-negative",
+            "grid-count-fraction", "grid-counts-short", "grid-sum-nan", "transitions-1e30",
+            "kmin-fraction", "class-count-fraction", "sums-dims-short", "one-class-fewer",
+            "sums-one-class-fewer", "sums-positions-short", "counts-increase",
+            "transitions-2x2", "negative-count", "class-counts-short", "kmin-0", "alpha-0",
+            "no-classes", "mean-length-0", "mean-length-nan", "mean-length-inf", "alpha-nan",
+            "alpha-inf", "beta-nan", "beta-inf", "psi-nan", "psi-inf", "lengthscale-nan",
             "lengthscale-inf", "n-classes-list", "kmax-list", "n-features-fraction",
             "seed-fraction", "model-list", "maxs-short", "maxs-inf", "downsample-fraction",
             "normalized-string", "mean-length-list", "alpha-string", "beta-string", "psi-null",
             "bank-lengthscale-list", "bank-lengthscale-nan", "omega-nan", "phase-inf",
             "mins-object", "omegas-object", "sums-object", "class-list", "classes-number",
-            "config-list", "bank-list", "hsmm-string", "taus-object", "values-object",
-            "sum-bool", "preprocess-null", "preprocess-empty", "preprocess-list",
-            "preprocess-number", "omegas-string", "sums-string", "taus-string",
-            "transitions-ragged", "mins-null"])
+            "config-list", "bank-list", "hsmm-string", "sum-bool", "preprocess-null",
+            "preprocess-empty", "preprocess-list", "preprocess-number", "omegas-string",
+            "sums-string", "transitions-ragged", "mins-null", "no-alpha", "no-bank-seed",
+            "downsample-0", "maxs-below-mins"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff

@@ -23,6 +23,7 @@ from helpers import (
     TableEmitter,
     direct_log_table,
     enumerate_posterior,
+    poisson_logpmf,
     reference_forward,
     segmentation_key,
 )
@@ -37,20 +38,18 @@ def make_params(**kw):
 class TestDuration:
     def test_matches_poisson_oracle(self):
         params = make_params(kmin=15, kmax=30, mean_length=20.0)
-        for k in (15, 20, 27, 30):
-            assert params.duration_logpmf(k) == pytest.approx(
-                poisson.logpmf(k, 20.0), rel=1e-12)
-        assert math.exp(params.duration_logpmf(20)) == pytest.approx(
-            0.0888, abs=5e-5)
+        np.testing.assert_allclose(params.log_durations(30),
+                                   poisson.logpmf(np.arange(15, 31), 20.0), rtol=1e-12)
+        assert math.exp(params.log_durations(30)[20 - 15]) == pytest.approx(0.0888, abs=5e-5)
 
     def test_unimodal_around_mean(self):
-        params = make_params(kmin=15, kmax=30, mean_length=20.0)
-        assert params.duration_logpmf(20) > params.duration_logpmf(15)
-        assert params.duration_logpmf(20) > params.duration_logpmf(30)
+        log_dur = make_params(kmin=15, kmax=30, mean_length=20.0).log_durations(30)
+        assert log_dur[20 - 15] > log_dur[0]
+        assert log_dur[20 - 15] > log_dur[-1]
 
     def test_unit_mean_boundary(self):
         params = make_params(kmin=1, kmax=3, mean_length=1.0)
-        assert math.exp(params.duration_logpmf(1)) == pytest.approx(
+        assert math.exp(params.log_durations(3)[0]) == pytest.approx(
             math.exp(-1.0), rel=1e-12)
 
     def test_out_of_window_mean_warns(self):
@@ -72,13 +71,13 @@ class TestDuration:
         assert not log_dur.flags.writeable
         with pytest.raises(ValueError):
             log_dur[0] = 0.0
-        assert log_dur.tolist() == [params.duration_logpmf(k) for k in range(15, 31)]
+        assert log_dur.tolist() == [poisson_logpmf(k, 20.0) for k in range(15, 31)]
         assert params.log_durations(30) is log_dur  # one array per window and mean
         # a shorter sequence's window, then a changed mean, give new vectors
         assert params.log_durations(22).tolist() == log_dur[:8].tolist()
         params.mean_length = 17.5
         changed = params.log_durations(30)
-        assert changed.tolist() == [params.duration_logpmf(k) for k in range(15, 31)]
+        assert changed.tolist() == [poisson_logpmf(k, 17.5) for k in range(15, 31)]
         assert changed.tolist() != log_dur.tolist()
 
 

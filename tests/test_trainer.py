@@ -14,6 +14,7 @@ from rffseg.features import sample_feature_bank
 from rffseg.hsmm import (
     InfeasibleSequenceError,
     Segment,
+    backward_sample,
     forward_filter,
     forward_from_table,
     tileable,
@@ -714,19 +715,29 @@ class TestSnapshot:
         config = small_config(backend=backend)
         state = train(store.sequences, config).state
         snap = json.loads(json.dumps(snapshot_dict(state)))
-        assert snap["n_dims"] == 2
-        if backend == "rff":
-            assert np.shape(snap["classes"][0]["counts"]) == (config.kmax,)
-            assert np.shape(snap["classes"][0]["sums"]) == (config.kmax, 2)
+        assert np.shape(snap["counts"]) == (config.n_classes, config.kmax)
+        assert np.shape(snap["sums"]) == (config.n_classes, config.kmax, 2)
         bank, emissions = emissions_from_snapshot(
             snap, 2, config.beta, config.psi, config.lengthscale)
         seq = store.sequences[0]
+        # rff reloads its own statistics; exact-gp a pooled GP on points with the
+        # same counts and sums at each position, so the same one up to round-off
+        atol = 0.0 if backend == "rff" else 1e-10
 
         def assert_same_tables():
-            np.testing.assert_array_equal(emissions.log_emission_tables(seq, config.kmax),
-                                          state.emissions.log_emission_tables(seq, config.kmax))
+            np.testing.assert_allclose(emissions.log_emission_tables(seq, config.kmax),
+                                       state.emissions.log_emission_tables(seq, config.kmax),
+                                       rtol=0.0, atol=atol)
+            np.testing.assert_allclose(emissions.means, state.emissions.means, rtol=0.0, atol=atol)
+            np.testing.assert_allclose(emissions.variances, state.emissions.variances,
+                                       rtol=0.0, atol=atol)
             for have, want in zip(emissions.class_models, state.emissions.class_models):
                 assert have.n_points == want.n_points
+            draws = [[backward_sample(forward_filter(s, e, state.hsmm), state.hsmm,
+                                      np.random.default_rng(seed))
+                      for seed in range(3) for s in store.sequences]
+                     for e in (emissions, state.emissions)]
+            assert draws[0] == draws[1]
 
         assert_same_tables()
         # the rebuilt statistics keep absorbing segments like the originals
@@ -743,32 +754,37 @@ class TestSnapshot:
                               for s in segs] for segs in state.assignments]
         state.emissions.rebuild(state.sequences, state.assignments)
         snap = json.loads(json.dumps(snapshot_dict(state)))
-        assert snap["classes"][0]["taus"] == [] and snap["classes"][0]["values"] == []
+        assert not np.any(snap["counts"][0]) and not np.any(snap["sums"][0])
         bank, emissions = emissions_from_snapshot(
             snap, 2, config.beta, config.psi, config.lengthscale)
         assert emissions.class_models[0].n_points == 0
         seq = store.sequences[0]
-        np.testing.assert_array_equal(emissions.log_emission_tables(seq, config.kmax),
-                                      state.emissions.log_emission_tables(seq, config.kmax))
+        have = emissions.log_emission_tables(seq, config.kmax)
+        want = state.emissions.log_emission_tables(seq, config.kmax)
+        np.testing.assert_array_equal(have[0], want[0])  # the prior, on no points
+        np.testing.assert_allclose(have, want, rtol=0.0, atol=1e-10)
 
-    def test_positions_not_in_runs_from_1_are_refused(self):
-        state = initialize(small_store().sequences, small_config(backend="exact-gp"))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_counts_that_increase_along_position_are_refused(self, backend):
+        # no chain of segments leaves more frames at a later position
+        state = initialize(small_store().sequences, small_config(backend=backend))
         snap = snapshot_dict(state)
-        snap["classes"][0]["taus"][0] = 2.0
-        with pytest.raises(ValueError, match="class 0: taus are not runs"):
+        snap["counts"][1][5] = snap["counts"][1][4] + 1
+        with pytest.raises(ValueError, match=r"^model.counts must not be negative or increase "
+                                             r"along position, got class 1: \["):
             emissions_from_snapshot(snap, 2, 10.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda entry: entry.update(values=np.ravel(entry["values"]).tolist()),
-         r"class 0: values must have shape \(\d+, 2\), got \(\d+,\)"),
-        (lambda entry: entry["values"].pop(), r"class 0: values must have shape"),
-        (lambda entry: entry["values"][0].__setitem__(1, float("inf")),
-         "class 0: values must be finite"),
+        (lambda snap: snap.update(sums=np.ravel(snap["sums"]).tolist()),
+         r"model.sums must have shape \(2, 24, None\), got \(\d+,\)"),
+        (lambda snap: snap["sums"][0].pop(), r"model.sums must be a rectangular array"),
+        (lambda snap: snap["sums"][0][0].__setitem__(1, float("inf")),
+         "model.sums must be finite"),
     ], ids=["flat", "one-row-short", "inf"])
     def test_malformed_values_are_refused(self, damage, message):
         state = initialize(small_store().sequences, small_config(backend="exact-gp"))
         snap = snapshot_dict(state)
-        damage(snap["classes"][0])
+        damage(snap)
         with pytest.raises(ValueError, match=message):
             emissions_from_snapshot(snap, 2, 10.0, 1.0, 1.0)
 
