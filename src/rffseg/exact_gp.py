@@ -1,9 +1,9 @@
 """Exact Gaussian-process emission model (baseline and correctness oracle).
 
-Pools every (within-segment time, observation) pair of one class and
-conditions on all of them at once.  The cache policy is a deliberate
-full recompute of the inverse Gram matrix on any point-set change:
-paying the O(N^3) cost is the point of the baseline.
+Pools N (within-segment time, observation) points of one class, in training
+one per frame at its position's mean, and conditions on all of them at once.
+The cache policy is a deliberate full recompute of the inverse Gram matrix on
+any point-set change: paying the O(N^3) cost is the point of the baseline.
 """
 
 from __future__ import annotations

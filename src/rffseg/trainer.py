@@ -5,12 +5,14 @@ resamples its segmentation by forward filtering / backward sampling
 against all other sequences' assignments, and absorbs the new segments
 back.  Emission models are pluggable: the random-feature regression
 backend ("rff") or the exact Gaussian-process baseline ("exact-gp").
+Both keep each class's frames as one store of counts and sums at each
+within-segment position, which is all either posterior depends on.
 
 Each visit's ``posterior`` phase is the backend's ``refresh``: each
 class the visit changed is solved into its predictive at positions
 ``1..kmax``, for "rff" by one factorization and one triangular solve,
-for "exact-gp" by a Gram rebuild.  The ``emission`` phase reads every
-table from those predictives.
+for "exact-gp" by a Gram rebuild on one stand-in point per frame.  The
+``emission`` phase reads every table from those predictives.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ __all__ = [
 BACKENDS = ("rff", "exact-gp")
 
 PHASES = ("emission", "dp", "stats", "posterior")
+
+# the largest |sums| gap the audit allows between running and batch sums
+AUDIT_BOUND = 1e-6
 
 
 class ConfigError(ValueError):
@@ -169,19 +174,71 @@ def position_statistics(sequences, assignments, n_classes: int, kmax: int):
     return counts, sums.reshape(n_classes, kmax, n_dims)
 
 
-class PositionPredictives:
-    """Every class's Gaussian predictive at within-segment positions ``1..kmax``.
+def label_counts(assignments, n_classes: int):
+    """The chain's ``transition_counts`` ``(C, C)`` and ``class_counts`` ``(C,)``
+    under ``assignments``: what :meth:`HsmmParams.absorb_labels` counts, sequence
+    by sequence, in whole-array passes."""
+    labels = np.array([seg.label for segs in assignments for seg in segs], dtype=np.int64)
+    # neighbouring segments are a transition unless the second opens a sequence
+    opens = np.cumsum([len(segs) for segs in assignments])[:-1]
+    pairs = np.delete(labels[:-1] * n_classes + labels[1:], opens - 1)
+    transitions = np.bincount(pairs, minlength=n_classes * n_classes)
+    return (transitions.reshape(n_classes, n_classes),
+            np.bincount(labels, minlength=n_classes))
 
-    A backend marks a class ``dirty`` when its statistics change;
-    :meth:`refresh` has the backend's ``_solve`` write just those classes
-    into the ``(C, kmax, D)`` means and ``(C, kmax)`` variances, and each
-    table refreshes first, then reads a prefix of them.
+
+class PositionPredictives:
+    """Every class's frame ``counts`` ``(C, kmax)`` and ``sums`` ``(C, kmax, D)`` at
+    each within-segment position, all either backend's posterior depends on, and
+    its Gaussian predictive at positions ``1..kmax``.
+
+    :meth:`add`, :meth:`remove` and :meth:`rebuild` mark the classes they change
+    ``dirty``; :meth:`refresh` has the backend's ``_solve`` write just those into
+    the ``(C, kmax, D)`` means and ``(C, kmax)`` variances, and each table
+    refreshes first, then reads a prefix of them.
     """
 
     def __init__(self, n_classes: int, n_dims: int, kmax: int):
         self.dirty = np.ones(n_classes, dtype=bool)
+        self.counts = np.zeros((n_classes, kmax), dtype=np.int64)
+        self.sums = np.zeros((n_classes, kmax, n_dims))
         self.means = np.empty((n_classes, kmax, n_dims))
         self.variances = np.empty((n_classes, kmax))
+
+    def add(self, key, seq: np.ndarray, segments) -> None:
+        for seg in segments:  # key is unused: the grid keeps no sequence apart
+            k = seg.stop - seg.start
+            # sums first: a segment longer than kmax raises
+            self.sums[seg.label, :k] += seq[:, seg.start:seg.stop].T
+            self.counts[seg.label, :k] += 1
+            self.dirty[seg.label] = True
+
+    def remove(self, key, seq: np.ndarray, segments) -> None:
+        for seg in segments:
+            # counts never increase with position, so the last one bounds them all
+            k = seg.stop - seg.start
+            if self.counts[seg.label, k - 1] < 1:
+                raise ValueError(f"class {seg.label}: removing a {k}-frame segment from a class "
+                                 f"with no frame at position {k} (caller bookkeeping bug)")
+            self.counts[seg.label, :k] -= 1
+            self.sums[seg.label, :k] -= seq[:, seg.start:seg.stop].T
+            self.dirty[seg.label] = True
+
+    def rebuild(self, sequences, assignments) -> None:
+        """Set every class's counts and sums from ``assignments`` (:func:`position_statistics`)."""
+        self.counts[...], self.sums[...] = position_statistics(sequences, assignments,
+                                                               *self.counts.shape)
+        self.dirty[...] = True
+
+    def audit_deviation(self, sequences, assignments) -> float:
+        """Largest ``|sums|`` gap from :func:`position_statistics`; counts must be equal."""
+        counts, sums = position_statistics(sequences, assignments, *self.counts.shape)
+        if not np.array_equal(self.counts, counts):
+            c = int(np.argmax((self.counts != counts).any(axis=1)))
+            raise AuditError(
+                f"class {c}: counts {self.counts[c].tolist()} != batch counts "
+                f"{counts[c].tolist()}")
+        return float(np.max(np.abs(self.sums - sums), initial=0.0))
 
     def refresh(self) -> None:
         """Solve each dirty class's predictive once."""
@@ -203,14 +260,13 @@ class PositionPredictives:
         return gaussian_log_table(self.means[:, :kmax], self.variances[:, :kmax], seq)
 
 
-class RffEmissions(PositionPredictives):
-    """Random-feature regression models of every class, on the position grid.
+def segments_ending(counts: np.ndarray) -> np.ndarray:
+    """How many of each class's segments have each length ``1..kmax``."""
+    return counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
 
-    A class's regression depends only on its ``counts`` ``(C, kmax)`` and
-    ``sums`` ``(C, kmax, D)`` of frames at each within-segment position,
-    which :meth:`add` and :meth:`remove` update a sequence at a time and
-    :meth:`rebuild` sets at once.
-    """
+
+class RffEmissions(PositionPredictives):
+    """Random-feature regression models of every class, on the position grid."""
 
     backend_name = "rff"
 
@@ -220,27 +276,6 @@ class RffEmissions(PositionPredictives):
         self.bank = bank
         self.beta = beta
         self.psi = psi
-        self.counts = np.zeros((n_classes, kmax), dtype=np.int64)
-        self.sums = np.zeros((n_classes, kmax, n_dims))
-
-    def add(self, key, seq: np.ndarray, segments) -> None:
-        for seg in segments:  # key is unused: the grid keeps no sequence apart
-            k = seg.stop - seg.start
-            # sums first: a segment longer than kmax raises
-            self.sums[seg.label, :k] += seq[:, seg.start:seg.stop].T
-            self.counts[seg.label, :k] += 1
-            self.dirty[seg.label] = True
-
-    def remove(self, key, seq: np.ndarray, segments) -> None:
-        for seg in segments:
-            # counts never increase with position, so the last one bounds them all
-            k = seg.stop - seg.start
-            if self.counts[seg.label, k - 1] < 1:
-                raise ValueError(f"class {seg.label}: removing a {k}-frame segment from a class "
-                                 f"with no frame at position {k} (caller bookkeeping bug)")
-            self.counts[seg.label, :k] -= 1
-            self.sums[seg.label, :k] -= seq[:, seg.start:seg.stop].T
-            self.dirty[seg.label] = True
 
     def _solve(self, classes: np.ndarray) -> None:
         """Build the ``classes``' statistics from their grid and solve them together."""
@@ -266,29 +301,14 @@ class RffEmissions(PositionPredictives):
                 st.n_points = n_points
         return models
 
-    def rebuild(self, sequences, assignments) -> None:
-        """Set every class's counts and sums from ``assignments`` (:func:`position_statistics`)."""
-        self.counts[...], self.sums[...] = position_statistics(sequences, assignments,
-                                                               *self.counts.shape)
-        self.dirty[...] = True
-
-    def audit_deviation(self, sequences, assignments) -> float:
-        """Largest ``|sums|`` gap from :func:`position_statistics`; counts must be equal."""
-        counts, sums = position_statistics(sequences, assignments, *self.counts.shape)
-        if not np.array_equal(self.counts, counts):
-            c = int(np.argmax((self.counts != counts).any(axis=1)))
-            raise AuditError(
-                f"class {c}: counts {self.counts[c].tolist()} != batch counts "
-                f"{counts[c].tolist()}")
-        return float(np.max(np.abs(self.sums - sums), initial=0.0))
-
 
 class ExactGpEmissions(PositionPredictives):
-    """Pooled-point Gaussian-process models, one per class.
+    """Pooled-point Gaussian-process models, one :class:`GpClassData` per class.
 
-    ``assigned`` maps each sequence's key to its frames and segments, held
-    by reference in the order added.  A refresh pools each changed class's
-    segments in that order and rebuilds its Gram in full.
+    A class pools one stand-in point per frame: ``counts[c, k-1] - counts[c, k]``
+    segments of each length ``k``, framed by the position means ``sums / counts``.
+    Frames sharing a position enter a pooled GP only through their count and sum,
+    so this is the real frames' posterior, on as many points and Gram rows.
     """
 
     backend_name = "exact-gp"
@@ -300,53 +320,20 @@ class ExactGpEmissions(PositionPredictives):
             GpClassData(n_dims, beta=beta, lengthscale=lengthscale)
             for _ in range(n_classes)
         ]
-        self.assigned = {}
-
-    def add(self, key, seq: np.ndarray, segments) -> None:
-        if key in self.assigned:
-            raise ValueError(f"sequence {key!r} is already assigned")
-        self.assigned[key] = (seq, segments)
-        self.dirty[[seg.label for seg in segments]] = True
-
-    def remove(self, key, seq: np.ndarray, segments) -> None:
-        if key not in self.assigned or self.assigned[key][1] != segments:
-            raise ValueError(f"sequence {key!r}: removing segments it is not assigned "
-                             f"(caller bookkeeping bug)")
-        del self.assigned[key]
-        self.dirty[[seg.label for seg in segments]] = True
 
     def _solve(self, classes: np.ndarray) -> None:
-        """Pool the ``classes``' segments in one pass, then give each its points and
-        predict it, Gram rebuilt, before the next class."""
-        _, kmax, n_dims = self.means.shape
-        pooled = {c: ([np.zeros(0)], [np.zeros((0, n_dims))]) for c in classes.tolist()}
-        for seq, segments in self.assigned.values():
-            for seg in segments:
-                if seg.label in pooled:
-                    taus, values = pooled[seg.label]
-                    taus.append(np.arange(1, seg.stop - seg.start + 1, dtype=np.float64))
-                    values.append(seq[:, seg.start:seg.stop].T)
+        """Give each of the ``classes`` its stand-in points and predict it, Gram
+        rebuilt, before the next class."""
+        kmax = self.counts.shape[1]
+        ending = segments_ending(self.counts[classes])
         positions = np.arange(1, kmax + 1, dtype=np.float64)
-        for c, (taus, values) in pooled.items():
-            self.class_models[c].set_points(np.concatenate(taus), np.vstack(values))
+        for c, per_length in zip(classes.tolist(), ending):
+            lengths = np.repeat(np.arange(1, kmax + 1), per_length)
+            # each point's 0-based position in its segment
+            index = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            means = self.sums[c] / np.maximum(self.counts[c], 1)[:, None]
+            self.class_models[c].set_points(positions[index], means[index])
             self.means[c], self.variances[c] = self.class_models[c]._predict(positions)
-
-    def rebuild(self, sequences, assignments) -> None:
-        """Assign each sequence, keyed by its index, the segments ``assignments`` give it."""
-        self.assigned = dict(enumerate(zip(sequences, assignments)))
-        self.dirty[...] = True
-
-    def audit_deviation(self, sequences, assignments) -> float:
-        """0.0; ``AuditError`` names the first sequence stored otherwise than given."""
-        if len(self.assigned) != len(sequences):
-            raise AuditError(f"{len(self.assigned)} sequences tracked, {len(sequences)} given")
-        for i, (seq, segs) in enumerate(zip(sequences, assignments)):
-            frames, stored = self.assigned.get(i, (None, None))
-            if stored != segs:
-                raise AuditError(f"sequence {i}: tracked segments diverge from assignments")
-            if not np.array_equal(frames, seq):
-                raise AuditError(f"sequence {i}: tracked frames diverge from the sequence")
-        return 0.0
 
 
 @dataclass
@@ -366,16 +353,10 @@ class TrainerState:
     def audit(self) -> None:
         """Cross-check incremental state against batch recomputation."""
         deviation = self.emissions.audit_deviation(self.sequences, self.assignments)
-        if deviation > 1e-6:
+        if deviation > AUDIT_BOUND:
             raise AuditError(
                 f"sufficient statistics drifted {deviation:.3e} from batch rebuild")
-        trans = np.zeros_like(self.hsmm.transition_counts)
-        counts = np.zeros_like(self.hsmm.class_counts)
-        for segs in self.assignments:
-            for seg in segs:
-                counts[seg.label] += 1
-            for prev, cur in zip(segs[:-1], segs[1:]):
-                trans[prev.label, cur.label] += 1
+        trans, counts = label_counts(self.assignments, self.hsmm.n_classes)
         if not np.array_equal(trans, self.hsmm.transition_counts):
             raise AuditError("transition counts diverge from assignments")
         if not np.array_equal(counts, self.hsmm.class_counts):
@@ -431,8 +412,9 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
     """Randomly segment all sequences and build the initial statistics.
 
     Each sequence is cut into uniform-random admissible lengths with
-    uniform-random labels; the backend's ``rebuild`` then builds every
-    class's statistics from the assignments at once.
+    uniform-random labels; :func:`label_counts` then counts the chain's
+    labels and the backend's ``rebuild`` builds every class's statistics
+    from the assignments at once.
     """
     # everything that builds the chain's starting state, checks too, is timed as stats
     timer = PhaseTimer()
@@ -459,28 +441,26 @@ def initialize(sequences, config: TrainerConfig) -> TrainerState:
         bank = sample_feature_bank(config.n_features, config.lengthscale, bank_seed)
         rng = np.random.default_rng(gibbs_ss)
 
+        assignments = []
+        for seq in sequences:
+            spans = _random_spans(seq.shape[1], config.kmin, config.kmax, rng)
+            labels = rng.integers(0, config.n_classes, size=len(spans))
+            assignments.append([Segment(start=a, stop=b, label=int(c))
+                                for (a, b), c in zip(spans, labels)])
+        transitions, counts = label_counts(assignments, config.n_classes)
         hsmm = HsmmParams(n_classes=config.n_classes, kmin=config.kmin,
                           kmax=config.kmax, mean_length=config.mean_length,
-                          alpha=config.alpha)
+                          alpha=config.alpha, transition_counts=transitions,
+                          class_counts=counts)
         if config.backend == "rff":
             emissions = RffEmissions(bank, config.n_classes, n_dims, config.kmax,
                                      config.beta, config.psi)
         else:
             emissions = ExactGpEmissions(config.n_classes, n_dims, config.kmax,
                                          config.beta, config.lengthscale)
-
-        state = TrainerState(config=config, sequences=sequences, bank=bank,
-                             hsmm=hsmm, emissions=emissions, assignments=[],
-                             rng=rng, timer=timer)
-        for seq in sequences:
-            spans = _random_spans(seq.shape[1], config.kmin, config.kmax, rng)
-            labels = rng.integers(0, config.n_classes, size=len(spans))
-            segs = [Segment(start=a, stop=b, label=int(c))
-                    for (a, b), c in zip(spans, labels)]
-            state.assignments.append(segs)
-            hsmm.absorb_labels([seg.label for seg in segs])
-        emissions.rebuild(sequences, state.assignments)
-    return state
+        emissions.rebuild(sequences, assignments)
+    return TrainerState(config=config, sequences=sequences, bank=bank, hsmm=hsmm,
+                        emissions=emissions, assignments=assignments, rng=rng, timer=timer)
 
 
 def gibbs_sweep(state: TrainerState) -> TrainerState:
@@ -562,17 +542,11 @@ def train_with_restarts(sequences, config: TrainerConfig) -> SegmentationResult:
 def snapshot_dict(state: TrainerState) -> dict:
     """Serializable model state: feature bank, chain counts, class statistics.
 
-    Either backend stores every class's frame ``counts`` ``(C, kmax)`` and
-    ``sums`` ``(C, kmax, D)`` at each within-segment position: rff its
-    running ones, exact-gp those of its assignments.  Both posteriors
-    depend on a class's frames only through them.
+    Either backend stores its running frame ``counts`` ``(C, kmax)`` and
+    ``sums`` ``(C, kmax, D)`` at each within-segment position, all that
+    its posterior depends on.
     """
     hsmm, emissions = state.hsmm, state.emissions
-    if emissions.backend_name == "rff":
-        counts, sums = emissions.counts, emissions.sums
-    else:
-        counts, sums = position_statistics(state.sequences, state.assignments,
-                                           hsmm.n_classes, hsmm.kmax)
     return {
         "backend": emissions.backend_name,
         "bank": state.bank.to_dict(),
@@ -585,8 +559,8 @@ def snapshot_dict(state: TrainerState) -> dict:
             "transition_counts": hsmm.transition_counts.tolist(),
             "class_counts": hsmm.class_counts.tolist(),
         },
-        "counts": counts.tolist(),
-        "sums": sums.tolist(),
+        "counts": emissions.counts.tolist(),
+        "sums": emissions.sums.tolist(),
     }
 
 
@@ -594,16 +568,15 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
                             lengthscale: float):
     """Rebuild an emission backend (and bank) from a snapshot dict.
 
-    rff loads the stored ``counts`` and ``sums``.  exact-gp adds each class as
-    one sequence of ``counts[c, k-1] - counts[c, k]`` segments of each length
-    ``k``, framed by the position means ``sums / counts``: a pooled GP depends
-    on its points only through their counts and sums at each position, so this
-    is the trained posterior up to round-off.  ``ValueError`` names a missing
-    key or a section that is not a JSON object, numbers that are not what
-    :func:`~rffseg.hsmm.number_array` asks, counts that are negative or
-    increase along position, an unknown backend, sums of other than ``n_dims``
-    dimensions, or a ``beta``, ``psi`` or ``lengthscale`` that is not finite
-    and positive.
+    Either backend loads the stored ``counts`` and ``sums``, the statistics
+    it trained on, so its tables are the trained ones bit for bit.
+    ``ValueError`` names a missing key or a section that is not a JSON
+    object, numbers that are not what :func:`~rffseg.hsmm.number_array`
+    asks, counts that are negative or increase along position, a ``|sums|``
+    above ``AUDIT_BOUND`` at a cell whose count is 0 (its class and
+    position), an unknown backend, sums of other than ``n_dims``
+    dimensions, or a ``beta``, ``psi`` or ``lengthscale`` that is not
+    finite and positive.
     """
     snap = json_object("snapshot model", snap)
     if snap["backend"] not in BACKENDS:
@@ -620,24 +593,20 @@ def emissions_from_snapshot(snap: dict, n_dims: int, beta: float, psi: float,
     if sums.shape[2] != n_dims:
         raise ValueError(
             f"snapshot was trained on {sums.shape[2]} dimensions, data has {n_dims}")
-    # how many of a class's segments have each length 1..kmax
-    ending = counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
+    ending = segments_ending(counts)
     if (ending < 0).any():
         c = int(np.argmax((ending < 0).any(axis=1)))
         raise ValueError(f"model.counts must not be negative or increase along position, "
                          f"got class {c}: {counts[c].tolist()}")
-    if snap["backend"] == "rff":
-        emissions = RffEmissions(bank, n_classes, n_dims, kmax, beta, psi)
-        emissions.counts[...], emissions.sums[...] = counts, sums
-        return bank, emissions
-    emissions = ExactGpEmissions(n_classes, n_dims, kmax, beta, lengthscale)
-    means = sums / np.maximum(counts, 1)[:, :, None]
-    for c in range(n_classes):
-        lengths = np.repeat(np.arange(1, kmax + 1), ending[c])
-        starts = np.cumsum(lengths) - lengths
-        positions = np.arange(lengths.sum()) - np.repeat(starts, lengths)
-        emissions.add(c, means[c, positions].T,
-                      [Segment(a, a + k, c) for a, k in zip(starts.tolist(), lengths.tolist())])
+    # a trained chain leaves only round-off where a class holds no frame
+    stray = (counts == 0) & (np.abs(sums) > AUDIT_BOUND).any(axis=2)
+    if stray.any():
+        c, k = np.argwhere(stray)[0].tolist()
+        raise ValueError(f"model.sums must be 0 where model.counts is 0, got "
+                         f"{sums[c, k].tolist()} at class {c}, position {k + 1}")
+    emissions = (RffEmissions(bank, n_classes, n_dims, kmax, beta, psi) if snap["backend"] == "rff"
+                 else ExactGpEmissions(n_classes, n_dims, kmax, beta, lengthscale))
+    emissions.counts[...], emissions.sums[...] = counts, sums
     return bank, emissions
 
 

@@ -38,6 +38,12 @@ def synth_corpus(tmp_path, n_sequences=4, frames=80, seed=42):
     return out, files
 
 
+def stray_sums(model):
+    """Empty class 2's last position and give it sums anyway."""
+    model["counts"][2][-1] = 0
+    model["sums"][2][-1] = [5.0, 5.0]
+
+
 TRAIN_FLAGS = ["--label-column", 2, "--classes", 3, "--kmin", 8,
                "--kmax", 22, "--mean-length", 14, "--iterations", 3,
                "--seed", 0]
@@ -446,6 +452,10 @@ class TestSegment:
         (lambda s: s["preprocess"].update(mins=s["preprocess"]["maxs"],
                                                           maxs=s["preprocess"]["mins"]),
          "normalization record's dimension 0 has maxs "),
+        (lambda s: stray_sums(s["model"]),
+         "model.sums must be 0 where model.counts is 0, got [5.0, 5.0] at class 2, position 22"),
+        (lambda s: stray_sums(s["model"]) or s["model"].update(backend="exact-gp"),
+         "model.sums must be 0 where model.counts is 0, got [5.0, 5.0] at class 2, position 22"),
     ], ids=["backend-typo", "no-beta", "no-hsmm", "class-without-sums", "grid-count-negative",
             "grid-count-fraction", "grid-counts-short", "grid-sum-nan", "transitions-1e30",
             "kmin-fraction", "class-count-fraction", "sums-dims-short", "one-class-fewer",
@@ -461,7 +471,7 @@ class TestSegment:
             "config-list", "bank-list", "hsmm-string", "sum-bool", "preprocess-null",
             "preprocess-empty", "preprocess-list", "preprocess-number", "omegas-string",
             "sums-string", "transitions-ragged", "mins-null", "no-alpha", "no-bank-seed",
-            "downsample-0", "maxs-below-mins"])
+            "downsample-0", "maxs-below-mins", "stray-sums-rff", "stray-sums-exact-gp"])
     def test_malformed_snapshot_names_the_file(self, tmp_path, capsys, trained_rff,
                                                damage, message):
         files, text = trained_rff

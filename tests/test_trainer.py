@@ -178,16 +178,18 @@ class TestInitialDraws:
         assert state.rng.random() == rng.random()
 
 
-def fresh_rff(state):
-    """An empty ``RffEmissions`` of the same shape and settings as ``state``'s."""
+def fresh_emissions(state, backend="rff"):
+    """An empty ``backend`` of the same shape and settings as ``state``'s."""
     n_classes, kmax, n_dims = state.emissions.sums.shape
-    return RffEmissions(state.bank, n_classes, n_dims, kmax, state.emissions.beta,
-                        state.emissions.psi)
+    config = state.config
+    if backend == "rff":
+        return RffEmissions(state.bank, n_classes, n_dims, kmax, config.beta, config.psi)
+    return ExactGpEmissions(n_classes, n_dims, kmax, config.beta, config.lengthscale)
 
 
-def replayed_rff(state, assignments):
-    """A fresh ``RffEmissions`` fed each sequence through ``add``, as a sweep feeds it."""
-    emissions = fresh_rff(state)
+def replayed(state, assignments, backend):
+    """A fresh ``backend`` fed each sequence through ``add``, as a sweep feeds it."""
+    emissions = fresh_emissions(state, backend)
     for seq_idx, (seq, segs) in enumerate(zip(state.sequences, assignments)):
         emissions.add(seq_idx, seq, segs)
     return emissions
@@ -210,24 +212,49 @@ def emptied_class_corpus():
 class TestRebuild:
     """``rebuild`` against the per-sequence updates that sweeps make."""
 
-    def test_rff_rebuild_equals_a_per_segment_replay(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rebuild_equals_a_per_segment_replay(self, backend):
         state, assignments = emptied_class_corpus()
-        have = fresh_rff(state)
+        have = fresh_emissions(state, backend)
         have.rebuild(state.sequences, assignments)
-        want = replayed_rff(state, assignments)
+        want = replayed(state, assignments, backend)
         np.testing.assert_array_equal(have.counts, want.counts)
         assert np.max(np.abs(have.sums - want.sums)) <= 1e-12 * np.max(np.abs(want.sums))
         assert have.dirty.all()
+        have.refresh()
+        want.refresh()
+        np.testing.assert_allclose(have.means, want.means, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(have.variances, want.variances, rtol=0.0, atol=1e-10)
         # the empty class is exactly the prior
         assert not have.counts[5].any() and not have.sums[5].any()
         empty = have.class_models[5]
-        np.testing.assert_array_equal(empty.shared_precision(),
-                                      empty.psi * np.eye(state.bank.n_features))
         assert empty.n_points == 0
+        if backend == "rff":
+            np.testing.assert_array_equal(empty.shared_precision(),
+                                          empty.psi * np.eye(state.bank.n_features))
+        else:
+            assert not have.means[5].any()
+            np.testing.assert_array_equal(have.variances[5], 1.0 + 1.0 / state.config.beta)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_removing_what_a_class_lacks_is_refused(self, backend):
+        state = initialize(small_store().sequences, small_config(n_classes=4))
+        emissions = fresh_emissions(state, backend)
+        seq = state.sequences[0]
+        emissions.rebuild([seq], [[Segment(0, 10, 3)]])
+        counts, sums = emissions.counts.copy(), emissions.sums.copy()
+        for seg in (Segment(0, 12, 3), Segment(0, 8, 1)):
+            with pytest.raises(ValueError, match=f"class {seg.label}: removing a {seg.stop}-frame "
+                                                 f"segment .*bookkeeping"):
+                emissions.remove(None, seq, [seg])
+            np.testing.assert_array_equal(emissions.counts, counts)
+            np.testing.assert_array_equal(emissions.sums, sums)
+        emissions.remove(None, seq, [Segment(0, 10, 3)])
+        assert not emissions.counts.any()
 
     def test_rff_rebuild_replaces_earlier_statistics(self):
         state, assignments = emptied_class_corpus()
-        fresh = fresh_rff(state)
+        fresh = fresh_emissions(state)
         fresh.rebuild(state.sequences, assignments)
         state.emissions.rebuild(state.sequences, assignments)  # holds a chain's statistics
         np.testing.assert_array_equal(state.emissions.counts, fresh.counts)
@@ -270,25 +297,6 @@ class TestRebuild:
         rebuilt = RffEmissions(bank, n_classes, n_dims, kmax, beta, psi)
         rebuilt.rebuild(sequences, assignments)
         np.testing.assert_array_equal(rebuilt.counts, emissions.counts)
-        counts = emissions.counts.copy()
-        with pytest.raises(ValueError, match="class 3: .*bookkeeping"):
-            emissions.remove(None, sequences[0], [Segment(0, 8, 3)])
-        np.testing.assert_array_equal(emissions.counts, counts)
-
-    def test_exact_gp_rebuild_equals_keyed_adds(self):
-        store = small_store(n_sequences=3, seq_length=60)
-        state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
-        want = ExactGpEmissions(3, 2, 24, beta=10.0, lengthscale=1.0)
-        for seq_idx, (seq, segs) in enumerate(zip(state.sequences, state.assignments)):
-            want.add(seq_idx, seq, segs)
-        assert list(state.emissions.assigned) == list(want.assigned) == [0, 1, 2]
-        for key, (frames, segs) in state.emissions.assigned.items():
-            assert frames is want.assigned[key][0] and segs == want.assigned[key][1]
-        seq = state.sequences[0]
-        for emissions in (state.emissions, want):
-            emissions.refresh()
-        np.testing.assert_array_equal(state.emissions.log_emission_tables(seq, 24),
-                                      want.log_emission_tables(seq, 24))
 
 
 def pooled(sequences, assignments, order, label, n_dims):
@@ -301,37 +309,24 @@ def pooled(sequences, assignments, order, label, n_dims):
 
 
 class TestExactGpUpdates:
-    """``ExactGpEmissions`` stores whole sequences and pools them in the order added."""
+    """``ExactGpEmissions`` solves each class on stand-in points from its counts and sums."""
 
-    def test_a_readded_sequence_is_pooled_last(self):
+    def test_classes_equal_a_gp_on_their_pooled_frames(self):
+        # oracle: a GpClassData fed each class's real frames, which never sees the grid
         store = small_store(n_sequences=4, seq_length=60)
-        state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
-        emissions, seq, segs = state.emissions, state.sequences[0], state.assignments[0]
-        emissions.remove(0, seq, segs)
-        emissions.add(0, seq, segs)
+        state = initialize(store.sequences, small_config(backend="exact-gp"))
+        for _ in range(2):
+            gibbs_sweep(state)
+        emissions = state.emissions
         emissions.refresh()
-        reordered = 0
+        positions = np.arange(1, 25, dtype=np.float64)
         for c, data in enumerate(emissions.class_models):
-            taus, values = pooled(state.sequences, state.assignments, [1, 2, 3, 0], c, 2)
-            np.testing.assert_array_equal(data.taus, taus)
-            np.testing.assert_array_equal(data.values, values)
-            _, by_index = pooled(state.sequences, state.assignments, [0, 1, 2, 3], c, 2)
-            reordered += not np.array_equal(values, by_index)
-        assert reordered  # the order is pinned, not just the set of points
-
-    def test_unknown_or_changed_sequences_are_refused(self):
-        store = small_store(n_sequences=3, seq_length=60)
-        state = initialize(store.sequences, small_config(backend="exact-gp", n_classes=3))
-        emissions, seq, segs = state.emissions, state.sequences[0], state.assignments[0]
-        with pytest.raises(ValueError, match="sequence 0 is already assigned"):
-            emissions.add(0, seq, segs)
-        with pytest.raises(ValueError, match="sequence 0: removing segments it is not "
-                                             "assigned .*bookkeeping"):
-            emissions.remove(0, seq, segs[1:])
-        with pytest.raises(ValueError, match="sequence 7: removing segments"):
-            emissions.remove(7, seq, segs)
-        assert list(emissions.assigned) == [0, 1, 2]
-        assert emissions.assigned[0] == (seq, segs)
+            oracle = GpClassData(2, beta=10.0, lengthscale=1.0)
+            oracle.set_points(*pooled(state.sequences, state.assignments, range(4), c, 2))
+            assert data.n_points == emissions.counts[c].sum() == oracle.n_points > 0
+            means, variances = oracle._predict(positions)
+            for got, want in ((emissions.means[c], means), (emissions.variances[c], variances)):
+                assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_refresh_predicts_exactly_the_dirty_classes_once(self, monkeypatch):
         emissions, rng = filled("exact-gp")
@@ -422,16 +417,6 @@ def count_an_extra_point(state):
     state.emissions.counts[0, 0] += 1
 
 
-def drop_a_segment(state):
-    frames, segs = state.emissions.assigned[1]
-    state.emissions.assigned[1] = (frames, segs[1:])  # a new list: segs is the assignment
-
-
-def shift_the_frames(state):
-    frames, segs = state.emissions.assigned[1]
-    state.emissions.assigned[1] = (frames + 1.0, segs)  # a new array: frames is the sequence
-
-
 def count_an_extra_transition(state):
     state.hsmm.transition_counts[0, 1] += 1
 
@@ -444,11 +429,12 @@ class TestAudit:
     @pytest.mark.parametrize("backend, damage, message", [
         ("rff", nudge_a_sum, "drifted 1.000e-03 from batch rebuild"),
         ("rff", count_an_extra_point, "class 0: counts"),
-        ("exact-gp", drop_a_segment, "sequence 1: tracked segments diverge from assignments"),
-        ("exact-gp", shift_the_frames, "sequence 1: tracked frames diverge from the sequence"),
+        ("exact-gp", nudge_a_sum, "drifted 1.000e-03 from batch rebuild"),
+        ("exact-gp", count_an_extra_point, "class 0: counts"),
         ("rff", count_an_extra_transition, "transition counts diverge"),
         ("rff", count_an_extra_segment, "class counts diverge"),
-    ], ids=["drift", "n-points", "keys", "payload", "transitions", "class-counts"])
+    ], ids=["drift", "n-points", "exact-gp-drift", "exact-gp-n-points", "transitions",
+            "class-counts"])
     def test_corrupted_state_is_caught(self, backend, damage, message):
         store = small_store(n_sequences=3, seq_length=60)
         state = initialize(store.sequences, small_config(backend=backend, audit=True))
@@ -720,17 +706,13 @@ class TestSnapshot:
         bank, emissions = emissions_from_snapshot(
             snap, 2, config.beta, config.psi, config.lengthscale)
         seq = store.sequences[0]
-        # rff reloads its own statistics; exact-gp a pooled GP on points with the
-        # same counts and sums at each position, so the same one up to round-off
-        atol = 0.0 if backend == "rff" else 1e-10
 
+        # either backend reloads the counts and sums it trained on, so bit for bit
         def assert_same_tables():
-            np.testing.assert_allclose(emissions.log_emission_tables(seq, config.kmax),
-                                       state.emissions.log_emission_tables(seq, config.kmax),
-                                       rtol=0.0, atol=atol)
-            np.testing.assert_allclose(emissions.means, state.emissions.means, rtol=0.0, atol=atol)
-            np.testing.assert_allclose(emissions.variances, state.emissions.variances,
-                                       rtol=0.0, atol=atol)
+            np.testing.assert_array_equal(emissions.log_emission_tables(seq, config.kmax),
+                                          state.emissions.log_emission_tables(seq, config.kmax))
+            np.testing.assert_array_equal(emissions.means, state.emissions.means)
+            np.testing.assert_array_equal(emissions.variances, state.emissions.variances)
             for have, want in zip(emissions.class_models, state.emissions.class_models):
                 assert have.n_points == want.n_points
             draws = [[backward_sample(forward_filter(s, e, state.hsmm), state.hsmm,
@@ -761,8 +743,7 @@ class TestSnapshot:
         seq = store.sequences[0]
         have = emissions.log_emission_tables(seq, config.kmax)
         want = state.emissions.log_emission_tables(seq, config.kmax)
-        np.testing.assert_array_equal(have[0], want[0])  # the prior, on no points
-        np.testing.assert_allclose(have, want, rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(have, want)  # class 0 is the prior, on no points
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_counts_that_increase_along_position_are_refused(self, backend):

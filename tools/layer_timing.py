@@ -29,16 +29,18 @@ arithmetic may change, so the two sides' tables are compared against
 a gap beyond it sets the exit status to 1.  It is timed in the same
 interleaved rounds.
 
-Then comes ``initialize`` at the ``train-rff`` shape: the change's
-``synth`` verb writes the bench-base corpus of seed 20, whose 3 files
-are passed 80 times to the change's ``load_sequences`` and
-``preprocess`` (240 sequences, 39,200 frames), and both sides'
-``initialize`` build an rff chain from it with the same seed.  Their
-assignments and class and transition counts must be equal, and their
-emission tables of the first sequence must agree within ``REL_BOUND``,
-as the posterior's do; otherwise the exit status is 1.  It is
-timed in ``INIT_ROUNDS`` interleaved rounds of one call per side, and
-the report gives each side's minimum over the rounds.
+Then comes ``initialize`` at each ``INIT_SHAPES`` shape, a backend and a
+copy count: that of ``train-rff`` (rff, 80 copies: 240 sequences, 39,200
+frames) and that of ``train-exact-gp`` (exact-gp, 5 copies: 15
+sequences, 2,450 frames).  The change's ``synth`` verb writes the
+bench-base corpus of seed 20, whose 3 files are passed that many times
+to the change's ``load_sequences`` and ``preprocess``, and both sides'
+``initialize`` build a chain of that backend from it with the same seed.
+Their assignments and class and transition counts must be equal, and
+their emission tables of the first sequence must agree within
+``REL_BOUND``, as the posterior's do; otherwise the exit status is 1.
+Each shape is timed in ``INIT_ROUNDS`` interleaved rounds of one call
+per side, and the report gives each side's minimum over the rounds.
 
 Last comes the loader.  The change's ``synth`` verb writes the
 benchmark's held-out shape (``--preset bench-base --sequences 240
@@ -72,7 +74,7 @@ M = 20
 DIRTY = (0, 1, 2, 4, 5, 7, 8, 10)  # 8 of 11 classes, as in a train-rff visit
 REL_BOUND = 1e-10
 TRAIN_CORPUS = ("--preset", "bench-base", "--seed", "20")
-TRAIN_COPIES = 80
+INIT_SHAPES = (("rff", 80), ("exact-gp", 5))  # (backend, copies of TRAIN_CORPUS)
 INIT_ROUNDS = 20
 
 
@@ -252,36 +254,43 @@ def chain_outcome(state):
 
 
 def time_initialize(parent, change) -> int:
-    """Compare and time both sides' ``initialize``; return the differences."""
+    """Compare and time both sides' ``initialize`` at each of ``INIT_SHAPES``;
+    return the differences."""
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
             code = change.cli.main(["synth", *TRAIN_CORPUS, "--out", tmp])
         if code != 0:
             raise SystemExit(f"synth exited with {code}")
-        paths = sorted(Path(tmp).glob("synthetic-*.txt")) * TRAIN_COPIES
+        paths = sorted(Path(tmp).glob("synthetic-*.txt"))
         schema = change.data.LoadSchema(label_column=change.data.bench_base_spec().n_dims)
-        sequences = change.data.preprocess(change.data.load_sequences(paths, schema)).sequences
+        corpus = change.data.preprocess(change.data.load_sequences(paths, schema)).sequences
     sides = {"parent": parent.trainer, "change": change.trainer}
+    differing = 0
+    for backend, copies in INIT_SHAPES:
+        sequences = corpus * copies
 
-    def build(side):
-        trainer = sides[side]
-        return trainer.initialize(sequences, trainer.TrainerConfig(n_classes=C, seed=20))
+        def build(side):
+            trainer = sides[side]
+            return trainer.initialize(sequences, trainer.TrainerConfig(
+                n_classes=C, backend=backend, seed=20))
 
-    want, got = build("parent"), build("change")
-    equal = chain_outcome(want) == chain_outcome(got)
-    gap = table_gap(want.emissions.log_emission_tables(sequences[0], KMAX),
-                    got.emissions.log_emission_tables(sequences[0], KMAX))
-    print(f"initialize: {len(sequences)} sequences, {sum(s.shape[1] for s in sequences)} "
-          f"frames, assignments and counts {'equal' if equal else 'DIFFER'}, "
-          f"largest relative table gap {gap:.1e} (bound {REL_BOUND:.0e})")
+        want, got = build("parent"), build("change")
+        equal = chain_outcome(want) == chain_outcome(got)
+        gap = table_gap(want.emissions.log_emission_tables(sequences[0], KMAX),
+                        got.emissions.log_emission_tables(sequences[0], KMAX))
+        print(f"initialize {backend}: {len(sequences)} sequences, "
+              f"{sum(s.shape[1] for s in sequences)} frames, assignments and counts "
+              f"{'equal' if equal else 'DIFFER'}, largest relative table gap {gap:.1e} "
+              f"(bound {REL_BOUND:.0e})")
 
-    def init_ms(side):
-        start = time.perf_counter()
-        build(side)
-        return (time.perf_counter() - start) * 1e3
+        def init_ms(side):
+            start = time.perf_counter()
+            build(side)
+            return (time.perf_counter() - start) * 1e3
 
-    compare_times("initialize", init_ms, INIT_ROUNDS, "ms", summary=min)
-    return int(not equal) + int(not gap <= REL_BOUND)
+        compare_times(f"initialize {backend}", init_ms, INIT_ROUNDS, "ms", summary=min)
+        differing += int(not equal) + int(not gap <= REL_BOUND)
+    return differing
 
 
 def loaded_bytes(data, paths, label_column):
