@@ -36,7 +36,7 @@ from .data import (
     quickstart_spec,
 )
 from .hsmm import (InfeasibleSequenceError, backward_sample, forward_filter, json_object,
-                   tileable)
+                   lattice_kernel, tileable)
 from .trainer import (
     BACKENDS,
     ConfigError,
@@ -90,7 +90,7 @@ class RunConfig(TrainerConfig):
 
 
 def build_info() -> dict:
-    info = {"package": "rffseg", "version": __version__}
+    info = {"package": "rffseg", "version": __version__, "lattice": lattice_kernel()}
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
@@ -116,6 +116,7 @@ def capture_environment(threads: int | None) -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "lattice": lattice_kernel(),
         "threads": threads,
     }
 

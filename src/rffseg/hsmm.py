@@ -13,24 +13,45 @@ Conventions used throughout (0-based frame indices):
   normalization, and the cumulative normalizers are stored so the total
   data log-likelihood is the final entry;
 * the forward recursion (Yu, "Hidden semi-Markov models", Artificial
-  Intelligence 2010) advances ``kmin`` frames per numpy step, since no
-  segment ending inside such a block can start after its first frame;
-  the mass carried across a segment boundary goes through the
-  transition matrix in the linear domain, on normalized slices;
-* the segment sums are built position-major, ``(kmax, C, T + 1)``, with
-  a ``-inf`` column ending every class row, so each position's running
-  sum is one contiguous add; no block reads another block's cells, so
-  the lattice is normalized once, after the last block.
+  Intelligence 2010) carries the mass across a segment boundary through
+  the transition matrix in the linear domain, on normalized slices.
+
+Two kernels run the forward pass and each backward draw, in the same
+arithmetic order:
+
+* the compiled one, ``_lattice.c``, goes frame by frame.  At import it
+  is built once with the system ``cc`` into this package's
+  ``__pycache__``, under a name hashed from its source and flags, loaded
+  with ``ctypes`` and kept only if it agrees with the numpy kernel on a
+  few fixed lattices (:func:`_agree`);
+* the numpy one advances ``kmin`` frames per step, since no segment
+  ending inside such a block can start after its first frame.  It is
+  the reference of the tests, and runs when there is no compiler, the
+  cache cannot be written or the check fails.
+
+:func:`lattice_kernel` names the one in use.  The two differ only in
+their ``exp`` and ``log`` (numpy's own, and the C library's): their
+lattices agree within ``LATTICE_TOLERANCE`` and their draws are the
+same.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
 import math
 import numbers
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -316,29 +337,18 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     position ``j + 1`` under class ``c``; its shape ``(C, kmax, T)`` must
     have ``C == params.n_classes`` and ``kmax == min(params.kmax, T)``.
 
-    The recursion advances ``kmin`` frames per step.  A segment ending
-    in a block of frames ``t0 .. t0+kmin-1`` is at least ``kmin`` long,
-    so it starts at or before ``t0`` and its predecessor boundary lies
-    before the block: one numpy step scores every (frame, length,
-    class) cell of the block from boundary mass already known.  Each
-    frame's slice is shift-normalized in the log domain; the mass
+    Each frame's slice is shift-normalized in the log domain; the mass
     entering each class after a boundary at that frame is the
     normalized slice, summed over lengths, times the transition matrix
     in the linear domain.  That product is safe from underflow: every
     normalized slice sums to one and every transition probability is at
     least ``alpha / (n + C alpha)``.
 
-    The segment scores are the end-indexed running sums ``sums[j, c, t] =
-    sums[j - 1, c, t - 1] + emis[c, j, t]``, held position-major in a
-    ``(kmax, C, T + 1)`` buffer whose last column is ``-inf``: flattened
-    per position, the step to ``(j, t)`` is a shift by one, so each
-    position is one contiguous add.  The duration term is added straight
-    into ``log_alpha``; each block then adds its entry mass, read through
-    a strided window over ``entry``, and takes its peak, normalizer and
-    outgoing mass from those unnormalized cells.  No block reads another
-    block's cells, so each frame's normalizer is subtracted once, after
-    the last block.  ``emis`` is only read, in any memory layout, and
-    every call returns new arrays.
+    The lattice kernel (:func:`lattice_kernel`) runs the recursion: the
+    compiled one frame by frame, the numpy one ``kmin`` frames per step
+    (:func:`_forward_numpy`), in the same arithmetic order; the two agree
+    within ``LATTICE_TOLERANCE``.  ``emis`` is only read, in any memory
+    layout, and every call returns new arrays.
     """
     n_classes, kmax, n_frames = emis.shape
     if n_classes != params.n_classes:
@@ -349,6 +359,71 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     if kmax != min(params.kmax, n_frames):
         raise ValueError(f"table has {kmax} positions, not min(kmax, T) = "
                          f"{min(params.kmax, n_frames)}")
+    log_alpha, log_norm = _kernel.forward(emis, params)
+    if not np.isfinite(log_norm[-1]):
+        raise InfeasibleSequenceError(
+            f"no segmentation of {n_frames} frames into lengths within "
+            f"[{params.kmin}, {params.kmax}] exists")
+    return ForwardLattice(log_alpha=log_alpha, log_norm=log_norm,
+                          kmin=params.kmin, kmax=kmax)
+
+
+def backward_sample(lattice: ForwardLattice, params: HsmmParams,
+                    rng: np.random.Generator) -> list[Segment]:
+    """Sample one segmentation from the lattice, in reverse time order.
+
+    At the sequence end the (length, class) cell is drawn from the
+    normalized lattice slice; at interior boundaries each candidate
+    class c is additionally weighted by the transition probability from
+    c to the previously sampled (later-in-time) class.  Each segment
+    takes exactly one ``rng.random()``.  Returns the spans in forward
+    order; they tile [0, T) exactly.
+    """
+    n_classes = params.n_classes
+    draw = _kernel.drawer(lattice.log_alpha, params.log_transition_matrix())
+    segments: list[Segment] = []
+    t = lattice.n_frames - 1
+    next_label = None
+    while t >= 0:
+        idx = draw(t, next_label, rng.random())
+        if idx < 0:
+            raise InfeasibleSequenceError(
+                f"backward sampling reached an unreachable frame {t}")
+        k = lattice.kmin + idx // n_classes
+        label = idx % n_classes
+        start = t - k + 1
+        segments.append(Segment(start=start, stop=t + 1, label=label))
+        next_label = label
+        t = start - 1
+    segments.reverse()
+    return segments
+
+
+# -- the two lattice kernels ---------------------------------------------
+
+def _forward_numpy(emis: np.ndarray, params: HsmmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice of :func:`forward_from_table` in numpy: ``(log_alpha, log_norm)``.
+
+    The recursion advances ``kmin`` frames per step.  A segment ending
+    in a block of frames ``t0 .. t0+kmin-1`` is at least ``kmin`` long,
+    so it starts at or before ``t0`` and its predecessor boundary lies
+    before the block: one numpy step scores every (frame, length,
+    class) cell of the block from boundary mass already known.  Each
+    frame's mass entering the next segment is figured as in
+    :func:`forward_from_table`.
+
+    The segment scores are the end-indexed running sums ``sums[j, c, t] =
+    sums[j - 1, c, t - 1] + emis[c, j, t]``, held position-major in a
+    ``(kmax, C, T + 1)`` buffer whose last column is ``-inf``: flattened
+    per position, the step to ``(j, t)`` is a shift by one, so each
+    position is one contiguous add.  The duration term is added straight
+    into ``log_alpha``; each block then adds its entry mass, read through
+    a strided window over ``entry``, and takes its peak, normalizer and
+    outgoing mass from those unnormalized cells.  No block reads another
+    block's cells, so each frame's normalizer is subtracted once, after
+    the last block.
+    """
+    n_classes, kmax, n_frames = emis.shape
     kmin = params.kmin
     n_k = kmax - kmin + 1
 
@@ -407,50 +482,172 @@ def forward_from_table(emis: np.ndarray, params: HsmmParams) -> ForwardLattice:
     # once the last block is done; unreached frames keep their -inf
     log_alpha -= np.where(np.isfinite(log_norm), log_norm, 0.0)[:, None, None]
 
-    if not np.isfinite(log_norm[-1]):
-        raise InfeasibleSequenceError(
-            f"no segmentation of {n_frames} frames into lengths within "
-            f"[{params.kmin}, {params.kmax}] exists")
-    return ForwardLattice(log_alpha=log_alpha, log_norm=log_norm,
-                          kmin=kmin, kmax=kmax)
+    return log_alpha, log_norm
 
 
-def backward_sample(lattice: ForwardLattice, params: HsmmParams,
-                    rng: np.random.Generator) -> list[Segment]:
-    """Sample one segmentation from the lattice, in reverse time order.
-
-    At the sequence end the (length, class) cell is drawn from the
-    normalized lattice slice; at interior boundaries each candidate
-    class c is additionally weighted by the transition probability from
-    c to the previously sampled (later-in-time) class.  Returns the
-    spans in forward order; they tile [0, T) exactly.
-    """
-    n_frames = lattice.n_frames
-    n_classes = params.n_classes
-    log_trans = params.log_transition_matrix()
-    segments: list[Segment] = []
-    t = n_frames - 1
-    next_label = None
-    while t >= 0:
-        weights = lattice.log_alpha[t]
+def _numpy_drawer(log_alpha: np.ndarray, log_trans: np.ndarray):
+    """``draw(t, next_label, u)``: the flat (length, class) index of frame ``t``'s
+    lattice row that the uniform ``u`` picks, each class weighted by its log
+    transition into ``next_label`` (none at the sequence end); -1 if the row
+    is unreachable."""
+    def draw(t, next_label, u):
+        weights = log_alpha[t]
         if next_label is not None:
             weights = weights + log_trans[:, next_label]
         w_max = weights.max()
         if w_max == -np.inf:
-            raise InfeasibleSequenceError(
-                f"backward sampling reached an unreachable frame {t}")
+            return -1
         probs = np.exp(weights.ravel() - w_max)
         probs /= probs.sum()
         # the draw of rng.choice(p=probs), without its per-call overhead:
         # the same cumulative table and the same single uniform
         cdf = np.cumsum(probs)
         cdf /= cdf[-1]
-        idx = int(cdf.searchsorted(rng.random(), side="right"))
-        k = lattice.kmin + idx // n_classes
-        label = idx % n_classes
-        start = t - k + 1
-        segments.append(Segment(start=start, stop=t + 1, label=int(label)))
-        next_label = int(label)
-        t = start - 1
-    segments.reverse()
-    return segments
+        return int(cdf.searchsorted(u, side="right"))
+    return draw
+
+
+class _Kernel(NamedTuple):
+    name: str
+    forward: Callable  # (emis, params) -> (log_alpha, log_norm)
+    drawer: Callable  # (log_alpha, log_trans) -> draw(t, next_label, u)
+
+
+_NUMPY = _Kernel("numpy", _forward_numpy, _numpy_drawer)
+
+_SOURCE = Path(__file__).with_name("_lattice.c")
+# no -ffast-math and no -march=native: the kernel must keep numpy's rounding
+_FLAGS = ("-std=c99", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _compiled_kernel(library: ctypes.CDLL) -> _Kernel:
+    """The kernel that runs the lattice through ``library``'s ``forward`` and ``draw``."""
+    size = ctypes.c_ssize_t
+    library.forward.restype = None
+    library.forward.argtypes = [ctypes.c_void_p, size, size, size, size, size, size, size,
+                                *[ctypes.c_void_p] * 5]
+    library.draw.restype = size
+    library.draw.argtypes = [ctypes.c_void_p, size, size, ctypes.c_void_p, ctypes.c_double,
+                             ctypes.c_void_p]
+
+    def forward(emis, params):
+        n_classes, kmax, n_frames = emis.shape
+        if emis.dtype != np.float64 or not emis.flags.aligned:
+            emis = np.array(emis, dtype=np.float64)
+        n_k = kmax - params.kmin + 1
+        log_dur = params.log_durations(kmax)
+        trans = np.exp(params.log_transition_matrix())
+        log_alpha = np.empty((n_frames, n_k, n_classes))
+        log_norm = np.empty(n_frames)
+        work = np.empty((kmax + n_frames + n_k + 3) * n_classes)
+        library.forward(_address(emis), *emis.strides, n_classes, kmax, n_frames,
+                        params.kmin, _address(log_dur), _address(trans),
+                        _address(log_alpha), _address(log_norm), _address(work))
+        return log_alpha, log_norm
+
+    def drawer(log_alpha, log_trans):
+        n_classes = log_trans.shape[0]
+        if np.ndim(log_alpha) != 3 or np.shape(log_alpha)[2] != n_classes:
+            return _numpy_drawer(log_alpha, log_trans)  # and its errors
+        log_alpha = np.ascontiguousarray(log_alpha, dtype=np.float64)
+        columns = np.ascontiguousarray(log_trans.T, dtype=np.float64)  # row c: into class c
+        n_cells = log_alpha.shape[1] * n_classes
+        work = np.empty(n_cells)
+        rows, into, scratch = _address(log_alpha), _address(columns), _address(work)
+        row_bytes, column_bytes = 8 * n_cells, 8 * n_classes
+        call = library.draw
+
+        def draw(t, next_label, u):
+            column = None if next_label is None else into + next_label * column_bytes
+            return call(rows + t * row_bytes, n_cells, n_classes, column, u, scratch)
+        draw.buffers = (log_alpha, columns, work)  # alive while draw holds their addresses
+        return draw
+
+    return _Kernel("c", forward, drawer)
+
+
+def _build_library(cache_dir: Path, source: Path = _SOURCE) -> Path | None:
+    """The shared library of ``source``, compiled by ``cc`` into ``cache_dir``
+    unless a build of the same source and flags is there; ``None`` if there is
+    none and no ``cc`` on the ``PATH`` to build one."""
+    code = source.read_bytes()
+    digest = hashlib.sha256(b"\0".join(
+        [code, " ".join(_FLAGS).encode(), platform.machine().encode()])).hexdigest()
+    library = cache_dir / f"_lattice-{digest[:16]}.so"
+    if library.exists():
+        return library
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    # a private temporary name beside the target, so that a concurrent build
+    # never reads a half-written library
+    fd, partial = tempfile.mkstemp(prefix=library.stem + "-", suffix=".tmp", dir=cache_dir)
+    os.close(fd)
+    try:
+        subprocess.run([compiler, *_FLAGS, "-o", partial, str(source), "-lm"],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return library
+
+
+def _agree(kernel: _Kernel) -> bool:
+    """Whether ``kernel`` gives the numpy kernel's lattices, within ``LATTICE_TOLERANCE``
+    (identical ``-inf`` masks, ``log_alpha`` absolute, ``log_norm`` relative), and
+    its draws, on a few small fixed lattices: C = 1, C < 8 and C > 8, one-frame
+    blocks and unreachable frames among them."""
+    rng = np.random.default_rng(20)
+    for n_classes, kmin, kmax, n_frames in ((1, 1, 6, 14), (3, 2, 5, 23), (11, 4, 9, 40)):
+        table = rng.normal(-1.0, 4.0, size=(n_classes, kmax, n_frames))
+        params = HsmmParams(n_classes=n_classes, kmin=kmin, kmax=kmax,
+                            mean_length=float(kmin + kmax) / 2, alpha=0.5,
+                            transition_counts=rng.integers(0, 6, size=(n_classes,) * 2))
+        want = _forward_numpy(table, params)
+        got = kernel.forward(table, params)
+        for a, b, relative in zip(want, got, (False, True)):
+            live = np.isfinite(a)
+            if not (np.array_equal(live, np.isfinite(b)) and np.array_equal(a[~live], b[~live])):
+                return False
+            gap = np.abs(a[live] - b[live])
+            if relative:
+                gap /= np.maximum(np.abs(a[live]), 1.0)
+            if gap.size and not gap.max() <= LATTICE_TOLERANCE:
+                return False
+        log_trans = params.log_transition_matrix()
+        draws = [k.drawer(want[0], log_trans) for k in (_NUMPY, kernel)]
+        for t in range(n_frames):
+            for next_label in (None, n_classes - 1):
+                u = float(rng.random())
+                if draws[0](t, next_label, u) != draws[1](t, next_label, u):
+                    return False
+    return True
+
+
+def _load_kernel(cache_dir: Path, source: Path = _SOURCE) -> _Kernel:
+    """The compiled kernel when it can be built or found in ``cache_dir``, loaded,
+    and agrees with the numpy kernel (:func:`_agree`); the numpy kernel otherwise."""
+    try:
+        library = _build_library(cache_dir, source)
+        kernel = None if library is None else _compiled_kernel(ctypes.CDLL(str(library)))
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return _NUMPY
+    return kernel if kernel is not None and _agree(kernel) else _NUMPY
+
+
+# one ulp of the log-likelihood at its scale: the gap that the two kernels'
+# exp and log (numpy's own, and the C library's) leave between their lattices
+LATTICE_TOLERANCE = 1e-12
+
+_kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
+
+
+def lattice_kernel() -> str:
+    """Which kernel runs the lattice: ``"c"``, compiled at import, or ``"numpy"``."""
+    return _kernel.name

@@ -1,11 +1,24 @@
 """Shared test fixtures: fixed-table emitters and brute-force oracles."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from rffseg.hsmm import ForwardLattice, InfeasibleSequenceError, Segment, tileable
+
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    """The script ``tools/<name>.py``, loaded by path as it is run."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TableEmitter:

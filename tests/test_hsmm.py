@@ -1,11 +1,13 @@
 """Duration/transition models and the segment lattice DP."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
+import rffseg.hsmm as hsmm
 from rffseg.hsmm import (
     ForwardLattice,
     HsmmParams,
@@ -23,10 +25,25 @@ from helpers import (
     TableEmitter,
     direct_log_table,
     enumerate_posterior,
+    load_tool,
     poisson_logpmf,
     reference_forward,
     segmentation_key,
 )
+
+
+# the kernel chosen at import: the compiled one wherever a C compiler is found
+LOADED = hsmm._kernel
+NO_COMPILER = shutil.which("cc") is None
+
+
+@pytest.fixture
+def lattice_kernel(request, monkeypatch):
+    """Run the test under its class's ``KERNEL``: ``"numpy"``, or ``"c"`` for the
+    kernel chosen at import (the numpy one where none could be compiled)."""
+    kernel = hsmm._NUMPY if request.cls.KERNEL == "numpy" else LOADED
+    monkeypatch.setattr(hsmm, "_kernel", kernel)
+    return kernel
 
 
 def make_params(**kw):
@@ -173,7 +190,10 @@ def fixed_instance(seed=7, n_frames=6, kmin=1, kmax=3, n_classes=2,
     return seq, tables, emitters, params
 
 
+@pytest.mark.usefixtures("lattice_kernel")
 class TestForwardFilter:
+    KERNEL = "c"
+
     def test_too_short_sequence_is_infeasible(self):
         seq, _, emitters, params = fixed_instance()
         params.kmin = 4
@@ -288,7 +308,10 @@ def random_instance(rng, n_frames, kmin, kmax, n_classes, scale=1.0):
     return tables[:, :min(kmax, n_frames)], params
 
 
+@pytest.mark.usefixtures("lattice_kernel")
 class TestBlockedRecursion:
+    KERNEL = "c"
+
     # (T, kmin, kmax, C): one-frame blocks (kmin=1), kmax > T, kmin == kmax,
     # partial last blocks, and frames no tiling reaches
     FEASIBLE = [(6, 1, 3, 2), (8, 1, 9, 2), (7, 1, 2, 3), (7, 2, 9, 3),
@@ -410,7 +433,10 @@ class TestGaussianLogTable:
                              for m, v in zip(means, variances)]))
 
 
+@pytest.mark.usefixtures("lattice_kernel")
 class TestBackwardSample:
+    KERNEL = "c"
+
     def test_spans_tile_exactly(self):
         rng = np.random.default_rng(0)
         _, tables, _, params = fixed_instance(n_frames=8)
@@ -423,6 +449,15 @@ class TestBackwardSample:
                 assert a.stop == b.start
             assert all(params.kmin <= s.length <= params.kmax for s in segs)
             assert sum(s.length for s in segs) == 8
+
+    def test_takes_one_uniform_per_segment(self):
+        _, tables, _, params = fixed_instance(n_frames=8)
+        lattice = forward_from_table(tables, params)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(20):
+            segs = backward_sample(lattice, params, rng)
+            twin.random(len(segs))
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_degenerate_lattice_returns_unique_tiling(self):
         params = HsmmParams(n_classes=1, kmin=3, kmax=3, mean_length=3.0)
@@ -486,3 +521,85 @@ class TestBackwardSample:
         expected = np.asarray(expected, dtype=float)
         expected *= observed.sum() / expected.sum()
         assert chisquare(observed, expected).pvalue > 0.01
+
+
+class TestForwardFilterNumpy(TestForwardFilter):
+    KERNEL = "numpy"
+
+
+class TestBlockedRecursionNumpy(TestBlockedRecursion):
+    KERNEL = "numpy"
+
+
+class TestBackwardSampleNumpy(TestBackwardSample):
+    KERNEL = "numpy"
+
+
+@pytest.mark.skipif(NO_COMPILER, reason="no C compiler")
+class TestCompiledKernel:
+    def test_is_chosen_where_a_compiler_is_found(self):
+        assert LOADED.name == "c"
+        assert hsmm.lattice_kernel() == "c"
+
+    def test_agrees_with_numpy_on_the_random_shapes_of_layer_timing(self, monkeypatch):
+        # C=1, kmin=1, kmax > T and untileable tables among them
+        tool = load_tool("layer_timing")
+        feasible = 0
+        for lattice, _ in tool.random_cases():
+            outcomes = []
+            for kernel in (hsmm._NUMPY, LOADED):
+                monkeypatch.setattr(hsmm, "_kernel", kernel)
+                outcomes.append(tool.lattice_outcome(hsmm, *lattice))
+            want, got = outcomes
+            if isinstance(want[0], str):
+                assert got == want  # the same InfeasibleSequenceError message
+                continue
+            feasible += 1
+            (alpha, norm, spans, state), (alpha2, norm2, spans2, state2) = want, got
+            np.testing.assert_array_equal(np.isneginf(alpha2), np.isneginf(alpha))
+            np.testing.assert_array_equal(np.isneginf(norm2), np.isneginf(norm))
+            live, reached = np.isfinite(alpha), np.isfinite(norm)
+            np.testing.assert_allclose(alpha2[live], alpha[live], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(norm2[reached], norm[reached], rtol=1e-12, atol=0)
+            assert spans2 == spans
+            assert state2 == state
+        assert 0 < feasible < tool.CHECKS
+
+    def test_a_fresh_cache_builds_the_library_once(self, tmp_path, monkeypatch):
+        assert hsmm._load_kernel(tmp_path).name == "c"
+        built = list(tmp_path.iterdir())
+        assert [p.suffix for p in built] == [".so"]  # no temporary file left
+        # the second load finds it, and needs no compiler
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        assert hsmm._load_kernel(tmp_path).name == "c"
+        assert list(tmp_path.iterdir()) == built
+
+    @pytest.mark.parametrize("fault, fix", [
+        ("+ log_dur[i]", ""),  # the forward pass drops the duration term
+        ("row[i] + column[i % n_classes]", "row[i]"),  # draws ignore transitions
+    ], ids=["forward", "draw"])
+    def test_a_kernel_that_fails_its_check_leaves_numpy(self, tmp_path, fault, fix):
+        source = tmp_path / "_lattice.c"
+        text = hsmm._SOURCE.read_text(encoding="utf-8")
+        assert fault in text
+        source.write_text(text.replace(fault, fix), encoding="utf-8")
+        assert hsmm._load_kernel(tmp_path / "cache", source).name == "numpy"
+        # built and loaded: the check refused it
+        assert len(list((tmp_path / "cache").glob("_lattice-*.so"))) == 1
+
+    def test_a_source_that_does_not_compile_leaves_numpy(self, tmp_path):
+        source = tmp_path / "_lattice.c"
+        source.write_text("this is not C\n", encoding="utf-8")
+        assert hsmm._load_kernel(tmp_path / "cache", source).name == "numpy"
+
+
+def test_no_compiler_leaves_numpy(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert hsmm._load_kernel(tmp_path / "cache").name == "numpy"
+    assert not (tmp_path / "cache").exists()
+
+
+def test_a_cache_that_cannot_be_written_leaves_numpy(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")  # a file where the directory would go
+    assert hsmm._load_kernel(blocker / "cache").name == "numpy"

@@ -10,11 +10,15 @@ are relative to that directory, and any absolute mention of it is
 masked, so the run's paths match.  So do the fields that change from one
 run to the next: the build id, the timings, the environment, trial and
 mean seconds, phase means and speed-up ratios.  Each file that still
-differs is printed, a JSON file with the keys that differ, and the exit
-status is 1 if any does (2 if a command fails).  A differing number, or
-line of comma-separated numbers, is shown with its relative gap: relative
-to the larger magnitude, or to 1 below it, so that round-off against an
-exact zero does not read as a gap of 1.
+differs is printed, a JSON file with the keys that differ.  A differing
+number, or line of comma-separated numbers, is shown with its relative
+gap: relative to the larger magnitude, or to 1 below it, so that
+round-off against an exact zero does not read as a gap of 1.  A gap
+within ``TOLERANCE`` between non-integers is marked "within 1e-12": the
+lattice kernels, compiled and numpy, differ by that much.  The exit status
+is 1 if any other difference is found: a non-numeric one, a larger gap,
+or any change to an integer (labels, spans, counts); it is 2 if a command
+fails.
 """
 
 import argparse
@@ -69,6 +73,8 @@ META = "# meta: "
 
 SHOWN = 5  # differences listed per file
 
+TOLERANCE = 1e-12  # as rffseg.hsmm.LATTICE_TOLERANCE
+
 
 def run_steps(checkout: Path, work: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"),
@@ -112,14 +118,15 @@ def normalized(path: Path, work: Path):
 
 
 def differences(parent, change, where: str = ""):
-    """Where two normalized contents differ: JSON keys, or line numbers."""
+    """Where two normalized contents differ, JSON keys or line numbers, each
+    with whether it fails the comparison (everything but a tolerated gap)."""
     if isinstance(parent, dict) and isinstance(change, dict):
         for key in sorted(set(parent) | set(change)):
             at = f"{where}.{key}" if where else key
             if key not in change:
-                yield f"{at}: only in parent"
+                yield f"{at}: only in parent", True
             elif key not in parent:
-                yield f"{at}: only in change"
+                yield f"{at}: only in change", True
             else:
                 yield from differences(parent[key], change[key], at)
     elif (isinstance(parent, list) and isinstance(change, list)
@@ -129,22 +136,45 @@ def differences(parent, change, where: str = ""):
             yield from differences(a, b, f"{where}[{i}]" if where else f"line {i + 1}")
     elif parent != change:
         gap = relative_gap(parent, change)
-        yield f"{where or 'content'}: differs" + (
-            "" if gap is None else f" (relative {gap:.1e})")
+        at = f"{where or 'content'}: differs"
+        if gap is None:
+            yield at, True
+        elif gap <= TOLERANCE and not integers_differ(parent, change):
+            yield f"{at} (relative {gap:.1e}, within {TOLERANCE:.0e})", False
+        else:
+            yield f"{at} (relative {gap:.1e})", True
+
+
+def cells(value) -> list:
+    """A comma-separated line's fields, or the one value."""
+    return value.split(",") if isinstance(value, str) else [value]
 
 
 def relative_gap(parent, change):
     """Largest relative gap of two numbers or two comma-separated lines of
     numbers, field by field, each relative to the larger magnitude or to 1
     below it; ``None`` when either is anything else."""
-    def numbers(value):
-        cells = value.split(",") if isinstance(value, str) else [value]
-        return [float(v) for v in cells]
     try:
-        pairs = list(zip(numbers(parent), numbers(change), strict=True))
+        pairs = [(float(a), float(b))
+                 for a, b in zip(cells(parent), cells(change), strict=True)]
     except (TypeError, ValueError):
         return None
     return max(abs(a - b) / max(abs(a), abs(b), 1.0) for a, b in pairs)
+
+
+def integers_differ(parent, change) -> bool:
+    """Whether a field pair of two numbers, or two lines of them, differs
+    where either side is an integer: a JSON int or an integer literal."""
+    def integral(cell):
+        if isinstance(cell, str):
+            try:
+                int(cell)
+            except ValueError:
+                return False
+            return True
+        return isinstance(cell, int)
+    return any(a != b and (integral(a) or integral(b))
+               for a, b in zip(cells(parent), cells(change)))
 
 
 def main() -> int:
@@ -159,21 +189,23 @@ def main() -> int:
             run_steps(checkout, works[side])
         files = {side: {p.relative_to(w) for p in w.rglob("*") if p.is_file()}
                  for side, w in works.items()}
-        differing = 0
+        differing = failing = 0
         for name in sorted(files["parent"] | files["change"], key=str):
             if name not in files["change"] or name not in files["parent"]:
                 side = "parent" if name in files["parent"] else "change"
-                found = [f"only in {side}"]
+                found = [(f"only in {side}", True)]
             else:
                 found = list(differences(
                     *(normalized(works[s] / name, works[s]) for s in works)))
             if found:
                 differing += 1
+                failing += any(fails for _, fails in found)
                 more = f"; {len(found) - SHOWN} more" if len(found) > SHOWN else ""
-                print(f"{name}: " + "; ".join(found[:SHOWN]) + more)
+                print(f"{name}: " + "; ".join(text for text, _ in found[:SHOWN]) + more)
         total = len(files["parent"] | files["change"])
-    print(f"{total - differing} of {total} files equal")
-    return 1 if differing else 0
+    print(f"{total - differing} of {total} files equal, {differing - failing} more "
+          f"within {TOLERANCE:.0e}")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

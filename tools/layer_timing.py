@@ -4,12 +4,16 @@
     python3 tools/layer_timing.py --parent ../parent --change .
 
 Each checkout's ``src/rffseg`` is imported as a package of its own.  The
-tool first runs ``forward_from_table`` (then ``backward_sample`` on its
-lattice) and ``gaussian_log_table`` from both sides on random inputs of
-assorted shapes, C=1 included, and compares the results byte for byte:
-``log_alpha``, ``log_norm``, the sampled spans, the frame tables, and
-the error of an untileable table.  Any difference is printed and the
-exit status is 1.
+tool first prints which lattice kernel each side runs (``"c"`` or
+``"numpy"``; a side without ``hsmm.lattice_kernel`` runs numpy).  Then it
+runs ``forward_from_table`` (then ``backward_sample`` on its lattice) and
+``gaussian_log_table`` from both sides on random inputs of assorted
+shapes, C=1 included.  The frame tables must be equal byte for byte.
+The lattices must have the same ``-inf`` cells and the same error on an
+untileable table, ``log_alpha`` within ``LATTICE_TOLERANCE`` absolute and
+``log_norm`` within it relative to its magnitude (or to 1 below it), and
+the same sampled spans, with the generator in the same state afterwards.
+Any difference is printed and the exit status is 1.
 
 Then it times the three layers at the benchmark's shape (C=11 classes,
 D=8 dimensions, lengths K in [15, 30], T=164 frames).  Each round times
@@ -67,7 +71,8 @@ import numpy as np
 C, D, KMIN, KMAX, T = 11, 8, 15, 30, 164
 ROUNDS = 60
 CALLS = 20
-CHECKS = 400  # random shapes compared bit for bit
+CHECKS = 400  # random shapes compared
+LATTICE_TOLERANCE = 1e-12  # as hsmm.LATTICE_TOLERANCE, which a parent may lack
 HELDOUT = ("--preset", "bench-base", "--sequences", "240", "--frames", "164")
 LOAD_ROUNDS = 10
 M = 20
@@ -96,8 +101,29 @@ def make_params(hsmm, rng, n_classes, kmin, kmax):
         transition_counts=rng.integers(0, 6, size=(n_classes, n_classes)))
 
 
+def random_cases():
+    """``CHECKS`` random lattice inputs of assorted shapes: C=1, ``kmin=1``,
+    ``kmax > T`` and untileable tables among them.  Each case is the table,
+    the seed of its chain parameters, ``kmin``, ``kmax`` and the seed of its
+    draws, then a Gaussian table's means, variances and sequence."""
+    rng = np.random.default_rng(2024)
+    for case in range(CHECKS):
+        n_classes = 1 if case % 8 == 0 else int(rng.integers(1, 14))
+        kmin = int(rng.integers(1, 18))
+        kmax = int(rng.integers(kmin, 34))
+        n_frames = int(rng.integers(kmin, 220))
+        scale = (1.0, 4.0, 30.0)[case % 3]
+        table = rng.normal(-1.0, scale, size=(n_classes, min(kmax, n_frames), n_frames))
+        seeds = rng.integers(2**32, size=2)
+        means = rng.normal(size=(n_classes, min(kmax, n_frames), D))
+        variances = rng.uniform(0.05, 0.5, size=means.shape[:2])
+        seq = rng.normal(size=(D, n_frames))
+        yield (table, seeds[0], kmin, kmax, seeds[1]), (means, variances, seq)
+
+
 def lattice_outcome(hsmm, table, params_seed, kmin, kmax, draw_seed):
-    """Everything a forward pass and three backward draws give, as bytes."""
+    """What a forward pass and three backward draws give: the error of an
+    untileable table, or the lattice, the spans and the generator's state."""
     rng = np.random.default_rng(params_seed)
     params = make_params(hsmm, rng, table.shape[0], kmin, kmax)
     try:
@@ -107,38 +133,59 @@ def lattice_outcome(hsmm, table, params_seed, kmin, kmax, draw_seed):
     draws = np.random.default_rng(draw_seed)
     spans = [[(s.start, s.stop, s.label) for s in hsmm.backward_sample(lattice, params, draws)]
              for _ in range(3)]
-    return (lattice.log_alpha.shape, lattice.log_alpha.tobytes(),
-            lattice.log_norm.tobytes(), spans)
+    return lattice.log_alpha, lattice.log_norm, spans, draws.bit_generator.state
 
 
-def check_bits(parent, change) -> int:
-    """Compare both sides on ``CHECKS`` random inputs; return the differences."""
-    rng = np.random.default_rng(2024)
-    differing = feasible = 0
-    for case in range(CHECKS):
-        n_classes = 1 if case % 8 == 0 else int(rng.integers(1, 14))
-        kmin = int(rng.integers(1, 18))
-        kmax = int(rng.integers(kmin, 34))
-        n_frames = int(rng.integers(kmin, 220))
-        scale = (1.0, 4.0, 30.0)[case % 3]
-        table = rng.normal(-1.0, scale, size=(n_classes, min(kmax, n_frames), n_frames))
-        seeds = rng.integers(2**32, size=2)
-        want = lattice_outcome(parent, table, seeds[0], kmin, kmax, seeds[1])
-        got = lattice_outcome(change, table, seeds[0], kmin, kmax, seeds[1])
-        feasible += want[0] != "infeasible"
-        if got != want:
+def lattice_gap(want, got):
+    """The larger of the largest absolute ``log_alpha`` gap and the largest
+    ``log_norm`` gap relative to its magnitude (or to 1 below it), 0.0 for two
+    equal errors; ``None`` if the errors, ``-inf`` masks, spans or generator
+    states differ."""
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        both = isinstance(want[0], str) and isinstance(got[0], str)
+        return 0.0 if both and want == got else None
+    (alpha, norm, spans, state), (alpha2, norm2, spans2, state2) = want, got
+    if (alpha.shape != alpha2.shape or spans != spans2 or state != state2
+            or not np.array_equal(np.isneginf(alpha), np.isneginf(alpha2))
+            or not np.array_equal(np.isneginf(norm), np.isneginf(norm2))):
+        return None
+    live, reached = np.isfinite(alpha), np.isfinite(norm)
+    return max(float(np.max(np.abs(alpha[live] - alpha2[live]), initial=0.0)),
+               table_gap(norm[reached], norm2[reached]))
+
+
+def check_lattices(parent, change) -> int:
+    """Compare both sides on ``random_cases``; return the differences.
+
+    The lattices must agree within ``LATTICE_TOLERANCE`` and the frame
+    tables byte for byte."""
+    kernels = [getattr(side, "lattice_kernel", lambda: "numpy")() for side in (parent, change)]
+    print(f"lattice kernels: parent {kernels[0]}, change {kernels[1]}")
+    differing = feasible = exact = 0
+    worst = 0.0
+    for lattice, gaussian in random_cases():
+        table, _, kmin, kmax, _ = lattice
+        n_classes, _, n_frames = table.shape
+        want = lattice_outcome(parent, *lattice)
+        got = lattice_outcome(change, *lattice)
+        tileable = not isinstance(want[0], str)
+        feasible += tileable
+        gap = lattice_gap(want, got)
+        if gap is None or not gap <= LATTICE_TOLERANCE:
             differing += 1
-            print(f"forward/backward differ: C={n_classes} kmin={kmin} kmax={kmax} "
-                  f"T={n_frames} scale={scale}")
-        means = rng.normal(size=(n_classes, min(kmax, n_frames), D))
-        variances = rng.uniform(0.05, 0.5, size=means.shape[:2])
-        seq = rng.normal(size=(D, n_frames))
-        if (parent.gaussian_log_table(means, variances, seq).tobytes()
-                != change.gaussian_log_table(means, variances, seq).tobytes()):
+            print(f"forward/backward differ (gap {gap}): C={n_classes} kmin={kmin} "
+                  f"kmax={kmax} T={n_frames}")
+        else:
+            exact += tileable and gap == 0.0
+            worst = max(worst, gap)
+        if (parent.gaussian_log_table(*gaussian).tobytes()
+                != change.gaussian_log_table(*gaussian).tobytes()):
             differing += 1
             print(f"gaussian_log_table differs: C={n_classes} kmax={kmax} T={n_frames}")
-    print(f"bits: {CHECKS - differing} of {CHECKS} random inputs equal "
-          f"({feasible} feasible lattices, {CHECKS - feasible} untileable)")
+    print(f"lattices: {CHECKS - differing} of {CHECKS} random inputs agree within "
+          f"{LATTICE_TOLERANCE:.0e} ({feasible} feasible lattices, {CHECKS - feasible} "
+          f"untileable; {exact} lattices with no gap, largest gap {worst:.1e}); frame tables "
+          "compared byte for byte")
     return differing
 
 
@@ -336,7 +383,7 @@ def main() -> int:
     for package in (parent, change):
         for module in ("hsmm", "data", "cli", "features", "trainer"):
             importlib.import_module(f"{package.__name__}.{module}")
-    differing = check_bits(parent.hsmm, change.hsmm)
+    differing = check_lattices(parent.hsmm, change.hsmm)
     print(f"shape: C={C} D={D} K=[{KMIN}, {KMAX}] T={T}, {ROUNDS} rounds of {CALLS} calls")
     time_layers(parent.hsmm, change.hsmm)
     differing += time_posterior(parent, change)
